@@ -15,7 +15,7 @@ from math import comb, factorial, perm
 
 from .constructions import colex_turan_graph, turan_graph, turan_number
 from .colex import colex_unrank, rpartite_valid
-from .graphs import _mask_cliques_within, count_cliques
+from .graphs import _count_within, count_cliques
 
 __all__ = [
     "ExactSquareScalar",
@@ -119,6 +119,7 @@ def mex_profile(r: int, s: int, m_max: int) -> list[int]:
     if m_max < 0:
         raise ValueError("m_max must be nonnegative")
     adj: list[int] = [0, 0]
+    succ: list[int] = [0, 0]
     values = []
     running = 0
     rank = 0
@@ -129,9 +130,11 @@ def mex_profile(r: int, s: int, m_max: int) -> list[int]:
             continue
         while len(adj) <= v:
             adj.append(0)
-        running += _mask_cliques_within(adj, adj[u] & adj[v], s - 2)
+            succ.append(0)
+        running += _count_within(succ, adj[u] & adj[v], s - 2)
         adj[u] |= 1 << v
         adj[v] |= 1 << u
+        succ[u] |= 1 << v
         values.append(running)
     return values
 

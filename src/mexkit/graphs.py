@@ -6,13 +6,22 @@ neighborhood intersections inside the counting recursion are single
 arbitrary-width integer operations.  All counts are plain Python
 integers and cannot overflow.  Graph values are immutable and every
 operation here is a pure function.
+
+Every clique count and clique test in mexkit goes through one kernel
+pair, _count_within and _has_within.  Both take successor masks of an
+acyclic orientation (succ[u] holds the neighbors that come after u) and
+look for cliques inside a candidate mask.  In any acyclic orientation a
+clique has exactly one vertex preceding all its others, so each clique
+is reached exactly once, whichever orientation the caller picks: the
+cached degeneracy order for Graph values, or label order
+(adj[v] & -(2 << v)) for adjacency lists edited in place.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 __all__ = [
     "CliqueProfile",
@@ -39,6 +48,18 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _vertex_mask(n: int) -> int:
+    """Bitmask of the vertices 1..n."""
+    return ((1 << (n + 1)) - 1) & ~1
+
+
+def _colex_edges(adj: Sequence[int]) -> Iterator[tuple[int, int]]:
+    """Edges (u, v) with u < v of a padded adjacency sequence, in colex order."""
+    for v in range(1, len(adj)):
+        for u in _bits(adj[v] & ((1 << v) - 1)):
+            yield (u, v)
+
+
 @dataclass(frozen=True)
 class Graph:
     """Finite simple graph on vertices 1..vertex_count.
@@ -56,7 +77,7 @@ class Graph:
             raise ValueError("vertex_count must be nonnegative")
         if len(self.adjacency) != n + 1 or self.adjacency[0] != 0:
             raise ValueError("adjacency must have one mask per vertex 1..n")
-        valid = ((1 << (n + 1)) - 1) & ~1
+        valid = _vertex_mask(n)
         for v in range(1, n + 1):
             mask = self.adjacency[v]
             if mask & ~valid:
@@ -87,10 +108,7 @@ class Graph:
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Edges as (u, v) with u < v, in colex order."""
-        for v in self.vertices():
-            below = self.adjacency[v] & ((1 << v) - 1)
-            for u in _bits(below):
-                yield (u, v)
+        return _colex_edges(self.adjacency)
 
     def isolated_vertices(self) -> list[int]:
         return [v for v in self.vertices() if self.adjacency[v] == 0]
@@ -178,17 +196,30 @@ def _degeneracy_successors(g: Graph) -> tuple[int, ...]:
     return tuple(succ)
 
 
-def _count_from(succ: tuple[int, ...], cand: int, depth: int) -> int:
-    """Number of depth-cliques inside the candidate mask (all mutually adjacent to the partial clique)."""
-    if depth == 1:
-        return cand.bit_count()
+def _count_within(succ: Sequence[int], cand: int, depth: int) -> int:
+    """Number of depth-cliques inside cand, each counted once via the acyclic successor masks."""
+    if depth < 2:
+        return cand.bit_count() if depth else 1
     total = 0
     rest = cand
     while rest:
         low = rest & -rest
         rest ^= low
-        total += _count_from(succ, cand & succ[low.bit_length() - 1], depth - 1)
+        total += _count_within(succ, cand & succ[low.bit_length() - 1], depth - 1)
     return total
+
+
+def _has_within(succ: Sequence[int], cand: int, depth: int) -> bool:
+    """True iff cand holds a depth-clique; _count_within(...) > 0 with an early exit."""
+    if depth < 2:
+        return cand != 0 if depth else True
+    rest = cand
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        if _has_within(succ, cand & succ[low.bit_length() - 1], depth - 1):
+            return True
+    return False
 
 
 def count_cliques(g: Graph, t: int) -> int:
@@ -199,38 +230,7 @@ def count_cliques(g: Graph, t: int) -> int:
         return g.vertex_count
     if t == 2:
         return g.edge_count
-    succ = _degeneracy_successors(g)
-    return sum(_count_from(succ, succ[v], t - 1) for v in g.vertices())
-
-
-def _cliques_within(g: Graph, mask: int, q: int) -> int:
-    """q-cliques of g whose vertices all lie inside mask."""
-    if q == 0:
-        return 1
-    if q == 1:
-        return mask.bit_count()
-    succ = _degeneracy_successors(g)
-    return sum(_count_from(succ, mask & succ[v], q - 1) for v in _bits(mask))
-
-
-def _mask_cliques_within(adj: list[int] | tuple[int, ...], mask: int, q: int) -> int:
-    """q-cliques inside mask over a raw adjacency list (label-order recursion).
-
-    Works on mutable adjacency lists mid-edit, unlike the cached
-    degeneracy path above.
-    """
-    if q == 0:
-        return 1
-    if q == 1:
-        return mask.bit_count()
-    total = 0
-    rest = mask
-    while rest:
-        low = rest & -rest
-        rest ^= low
-        u = low.bit_length() - 1
-        total += _mask_cliques_within(adj, mask & adj[u] & ~((1 << (u + 1)) - 1), q - 1)
-    return total
+    return _count_within(_degeneracy_successors(g), _vertex_mask(g.vertex_count), t)
 
 
 def cliques_at_vertex(g: Graph, v: int, s: int) -> int:
@@ -240,7 +240,7 @@ def cliques_at_vertex(g: Graph, v: int, s: int) -> int:
     """
     if s < 1:
         raise ValueError("clique order must be at least 1")
-    return _cliques_within(g, g.neighbor_mask(v), s - 1)
+    return _count_within(_degeneracy_successors(g), g.neighbor_mask(v), s - 1)
 
 
 def cliques_at_edge(g: Graph, e: tuple[int, int], s: int) -> int:
@@ -253,7 +253,9 @@ def cliques_at_edge(g: Graph, e: tuple[int, int], s: int) -> int:
     u, v = e
     if not g.has_edge(u, v):
         raise ValueError(f"{{{u}, {v}}} is not an edge")
-    return _cliques_within(g, g.adjacency[u] & g.adjacency[v], s - 2)
+    return _count_within(
+        _degeneracy_successors(g), g.adjacency[u] & g.adjacency[v], s - 2
+    )
 
 
 def min_clique_degrees(g: Graph, s: int) -> tuple[int | None, int | None]:
@@ -294,20 +296,7 @@ def contains_clique(g: Graph, k: int) -> bool:
         return g.vertex_count >= 1
     if k == 2:
         return any(m for m in g.adjacency)
-    succ = _degeneracy_successors(g)
-
-    def probe(cand: int, depth: int) -> bool:
-        if depth == 1:
-            return cand != 0
-        rest = cand
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            if probe(cand & succ[low.bit_length() - 1], depth - 1):
-                return True
-        return False
-
-    return any(probe(succ[v], k - 1) for v in g.vertices())
+    return _has_within(_degeneracy_successors(g), _vertex_mask(g.vertex_count), k)
 
 
 def contains_subgraph(g: Graph, f: Graph) -> bool:
@@ -341,7 +330,7 @@ def contains_subgraph(g: Graph, f: Graph) -> bool:
                     queue.append(u)
 
     fdeg = {v: f.degree(v) for v in pattern}
-    all_mask = ((1 << (g.vertex_count + 1)) - 1) & ~1
+    all_mask = _vertex_mask(g.vertex_count)
     images: dict[int, int] = {}
 
     def extend(i: int, used: int) -> bool:

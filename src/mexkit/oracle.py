@@ -10,13 +10,23 @@ to override them deliberately.
 from __future__ import annotations
 
 import time
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations, product
 from math import comb
 from typing import Iterator
 
-from .graphs import Graph, _bits, contains_clique, contains_subgraph, count_cliques
+from .graphs import (
+    Graph,
+    _bits,
+    _count_within,
+    _has_within,
+    _vertex_mask,
+    contains_clique,
+    contains_subgraph,
+    count_cliques,
+)
 
 __all__ = [
     "CapExceededError",
@@ -319,65 +329,33 @@ def brute_force_mex(
     )
 
 
-def _mask_has_clique(start_mask: int, k: int, succ: list[int]) -> bool:
-    if k == 0:
-        return True
-    if k == 1:
-        return start_mask != 0
-    rest = start_mask
-    while rest:
-        low = rest & -rest
-        rest ^= low
-        u = low.bit_length() - 1
-        if _mask_has_clique(start_mask & succ[u], k - 1, succ):
-            return True
-    return False
-
-
-def _mask_count_cliques(n: int, t: int, succ: list[int]) -> int:
-    if t == 1:
-        return n
-    total = 0
-    for v in range(1, n + 1):
-        total += _mask_count(succ[v], t - 1, succ)
-    return total
-
-
-def _mask_count(cand: int, depth: int, succ: list[int]) -> int:
-    if depth == 1:
-        return cand.bit_count()
-    total = 0
-    rest = cand
-    while rest:
-        low = rest & -rest
-        rest ^= low
-        total += _mask_count(cand & succ[low.bit_length() - 1], depth - 1, succ)
-    return total
+def _decode(code: int, n: int, pairs: list[tuple[int, int]]) -> list[int]:
+    """Adjacency list of the labeled graph whose edge set is bit-coded over pairs."""
+    adj = [0] * (n + 1)
+    while code:
+        low = code & -code
+        code ^= low
+        u, v = pairs[low.bit_length() - 1]
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    return adj
 
 
 def _ex_chunk(payload: tuple) -> tuple[int, list[int], int]:
     n, t, forbidden, forb_k, lo, hi, pairs = payload
+    full = _vertex_mask(n)
     best = -1
     attainers: list[int] = []
     for code in range(lo, hi):
-        adj = [0] * (n + 1)
-        c = code
-        while c:
-            low = c & -c
-            c ^= low
-            u, v = pairs[low.bit_length() - 1]
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-        succ = [adj[v] & ~((1 << (v + 1)) - 1) for v in range(n + 1)]
+        adj = _decode(code, n, pairs)
+        succ = [a & -(2 << v) for v, a in enumerate(adj)]
         if forb_k is not None:
-            if forb_k <= n and _mask_has_clique(
-                (((1 << (n + 1)) - 1) & ~1), forb_k, succ
-            ):
+            if forb_k <= n and _has_within(succ, full, forb_k):
                 continue
         else:
             if contains_subgraph(Graph(n, tuple(adj)), forbidden):
                 continue
-        val = code.bit_count() if t == 2 else _mask_count_cliques(n, t, succ)
+        val = code.bit_count() if t == 2 else _count_within(succ, full, t)
         if val > best:
             best = val
             attainers = [code]
@@ -421,16 +399,7 @@ def brute_force_ex(
         return SearchResult(0, (), 0, total, time.perf_counter() - start)
     witness_forms: dict[tuple, Graph] = {}
     for code in codes:
-        adj = [0] * (n + 1)
-        c = code
-        while c:
-            low = c & -c
-            c ^= low
-            u, v = pairs[low.bit_length() - 1]
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-        g = Graph(n, tuple(adj))
-        form = canonical_form(g)
+        form = canonical_form(Graph(n, tuple(_decode(code, n, pairs))))
         if form not in witness_forms:
             witness_forms[form] = _graph_from_items(form[0], form[1])
     ordered = [witness_forms[f] for f in sorted(witness_forms)]
@@ -591,7 +560,6 @@ def find_blowup(
     if not cap_override:
         _require_cap(t, _BLOWUP_T_CAP, "blowup part size")
         _require_cap(g.vertex_count, _BLOWUP_VERTEX_CAP, "vertex count")
-    full = ((1 << (g.vertex_count + 1)) - 1) & ~1
 
     def rec(prev_min: int, common: int, remaining: int) -> list[tuple[int, ...]] | None:
         if remaining == 0:
@@ -608,7 +576,7 @@ def find_blowup(
                 return [combo] + sub
         return None
 
-    found = rec(0, full, parts)
+    found = rec(0, _vertex_mask(g.vertex_count), parts)
     return (found is not None, tuple(found) if found is not None else None)
 
 
@@ -637,5 +605,10 @@ def _run_chunks(fn, payloads: list, workers: int) -> list:
     try:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, payloads))
-    except (OSError, PermissionError):
+    except OSError as exc:
+        warnings.warn(
+            f"process pool unavailable ({exc!r}); running {len(payloads)} chunks serially",
+            RuntimeWarning,
+            stacklevel=3,
+        )
         return [fn(p) for p in payloads]

@@ -17,7 +17,14 @@ from dataclasses import dataclass
 from math import factorial
 
 from .extremal import beta, c_rs, mex_clique
-from .graphs import Graph, _bits, _mask_cliques_within, contains_clique, count_cliques
+from .graphs import (
+    Graph,
+    _bits,
+    _colex_edges,
+    _count_within,
+    contains_clique,
+    count_cliques,
+)
 from .oracle import min_edits_to_r_partite
 
 __all__ = [
@@ -155,13 +162,6 @@ class ProcessTrace:
     partial_last_vertex: PartialVertex | None
 
 
-def _edges_colex(adj: list[int], n: int):
-    for v in range(1, n + 1):
-        below = adj[v] & ((1 << v) - 1)
-        for u in _bits(below):
-            yield (u, v)
-
-
 def edge_deletion_process(g: Graph, config: ProcessConfig) -> ProcessTrace:
     """Repeatedly delete a qualifying minimum-value edge until none is left or the budget runs out."""
     if config.mode != "edge":
@@ -177,8 +177,9 @@ def edge_deletion_process(g: Graph, config: ProcessConfig) -> ProcessTrace:
     def best_qualifying() -> tuple[tuple[int, int], int] | None:
         threshold = config.coefficient * m_cur**config.exponent
         best = None
-        for u, v in _edges_colex(adj, n):
-            val = _mask_cliques_within(adj, adj[u] & adj[v], s - 2)
+        succ = [a & -(2 << v) for v, a in enumerate(adj)]
+        for u, v in _colex_edges(adj):
+            val = _count_within(succ, adj[u] & adj[v], s - 2)
             if val < threshold and (best is None or val < best[1]):
                 best = ((u, v), val)
         return best

@@ -140,6 +140,17 @@ class TestVerifySubcommands:
         assert code == 0
         assert out.count("ok") == 5
 
+    def test_serial_fallback_keeps_stdout(self, capsys, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise OSError("no process pool here")
+
+        argv = ("verify", "zykov", "--r", "3", "--t", "3", "--n-max", "5")
+        _, serial, _ = run(capsys, *argv, "--workers", "1")
+        monkeypatch.setattr(cli.oracle, "ProcessPoolExecutor", no_pool)
+        with pytest.warns(RuntimeWarning, match="running 2 chunks serially"):
+            code, fallback, _ = run(capsys, *argv, "--workers", "2")
+        assert code == 0 and fallback == serial
+
     def test_zykov_small(self, capsys):
         code, out, _ = run(capsys, "verify", "zykov", "--r", "3", "--t", "3", "--n-max", "5")
         assert code == 0

@@ -178,11 +178,14 @@ class TestInvariants:
             edges = rng.sample(pairs, rng.randint(1, len(pairs)))
             g = graph_from_edges(edges, explicit_vertex_count=n)
             for t in range(1, 7):
-                assert count_cliques(g, t) == naive_count_cliques(g, t)
+                expected = naive_count_cliques(g, t)
+                assert count_cliques(g, t) == expected
+                assert contains_clique(g, t) == (expected > 0)
             v = rng.randint(1, n)
             e = tuple(sorted(rng.choice(edges)))
-            for s in (3, 4, 5):
+            for s in (1, 2, 3, 4, 5):
                 assert cliques_at_vertex(g, v, s) == naive_cliques_at_vertex(g, v, s)
+            for s in (2, 3, 4, 5):
                 assert cliques_at_edge(g, e, s) == naive_cliques_at_edge(g, e, s)
 
     def test_subgraph_matches_clique_count(self):

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -206,6 +207,21 @@ class TestBruteForceEx:
         par = brute_force_ex(5, 3, complete_graph(4), workers=3)
         assert (seq.optimum, seq.witness_count) == (par.optimum, par.witness_count)
         assert seq.witnesses == par.witnesses
+
+
+class TestSerialFallback:
+    def test_pool_failure_warns_and_matches_serial(self, monkeypatch):
+        import mexkit.oracle as oracle
+
+        def no_pool(*args, **kwargs):
+            raise OSError("no process pool here")
+
+        monkeypatch.setattr(oracle, "ProcessPoolExecutor", no_pool)
+        for search, size in ((brute_force_mex, 6), (brute_force_ex, 5)):
+            seq = search(size, 3, complete_graph(4), workers=1)
+            with pytest.warns(RuntimeWarning, match="no process pool here"):
+                par = search(size, 3, complete_graph(4), workers=2)
+            assert par == replace(seq, elapsed=par.elapsed)
 
 
 class TestBruteForceMinShadow:

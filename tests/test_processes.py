@@ -21,6 +21,8 @@ from mexkit.processes import (
     vertex_deletion_process,
 )
 
+from oracles import naive_cliques_at_edge
+
 PAW = graph_from_edges([(1, 2), (1, 3), (2, 3), (3, 4)])
 
 
@@ -107,6 +109,32 @@ class TestEdgeProcess:
 
             for e in final.edges():
                 assert cliques_at_edge(final, e, cfg.s) >= bound
+
+    def test_step_values_match_naive_count(self):
+        import random
+
+        rng = random.Random(11)
+        graphs = [complete_graph(5), turan_graph(4, 8), colex_turan_graph(4, 30)]
+        for _ in range(6):
+            n = rng.randint(5, 9)
+            pairs = [(u, v) for v in range(2, n + 1) for u in range(1, v)]
+            edges = rng.sample(pairs, rng.randint(len(pairs) // 2, len(pairs)))
+            graphs.append(graph_from_edges(edges, explicit_vertex_count=n))
+        for s in (2, 4):
+            for g in graphs:
+                # every edge qualifies, so each step takes a least-valued edge
+                cfg = edge_config(g, 1e9, 0.0, g.edge_count // 2, s=s)
+                trace = edge_deletion_process(g, cfg)
+                assert len(trace.steps) == cfg.edge_budget
+                adj = list(g.adjacency)
+                for step in trace.steps:
+                    before = Graph(g.vertex_count, tuple(adj))
+                    values = {e: naive_cliques_at_edge(before, e, s) for e in before.edges()}
+                    assert step.value == values[step.item] == min(values.values())
+                    u, v = step.item
+                    adj[u] &= ~(1 << v)
+                    adj[v] &= ~(1 << u)
+                assert Graph(g.vertex_count, tuple(adj)) == trace.final_graph
 
     def test_replay_and_determinism(self):
         g = colex_turan_graph(3, 18)
