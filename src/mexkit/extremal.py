@@ -13,9 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, perm
 
-from .constructions import colex_turan_graph, turan_graph, turan_number
-from .colex import colex_unrank, rpartite_valid
-from .graphs import _count_within, count_cliques
+from .constructions import _turan_order, colex_turan_graph, turan_number
+from .graphs import count_cliques
 
 __all__ = [
     "ExactSquareScalar",
@@ -83,59 +82,77 @@ def verify_constant_identities(r: int, s: int) -> bool:
     return lhs == rhs and c2 == falling_form and c2 <= upper
 
 
+def _e_balanced(k: int, size: int, total: int) -> int:
+    """e_k of the balanced split of total into size parts.
+
+    The parts are total // size, size - total % size times, and that plus
+    one, total % size times; choosing j of the larger parts and k - j of the
+    smaller ones gives e_k in k + 1 terms, whatever size is.
+    """
+    a, big = divmod(total, size)
+    return sum(
+        comb(big, j) * comb(size - big, k - j) * (a + 1) ** j * a ** (k - j)
+        for j in range(k + 1)
+    )
+
+
 def zykov_ex(n: int, t: int, r: int) -> int:
     """Maximum K_t count over graphs on n vertices with no K_{r+1}.
 
-    Attained by the balanced complete r-partite graph, so computed as its
-    exact clique count.
+    Attained by the balanced complete r-partite graph T_r(n), whose K_t
+    count is e_t(TuranSpec(r, n).part_sizes), the elementary symmetric
+    polynomial of its part sizes.
     """
     if not n >= r >= t >= 2:
         raise ValueError(f"need n >= r >= t >= 2, got n={n}, r={r}, t={t}")
-    return count_cliques(turan_graph(r, n), t)
+    return _e_balanced(t, r, n)
 
 
 def mex_clique(m: int, s: int, r: int) -> int:
     """Maximum K_s count over K_{r+1}-free graphs with m edges.
 
-    Attained by the colex Turan graph.  The sparse regime s > r is
-    rejected: there the maximum is not governed by this construction.
+    Attained by the colex Turan graph CT_r(m).  With n the largest order
+    such that t_r(n) = turan_number(r, n) <= m and q = m - t_r(n), CT_r(m)
+    is T_r(n) plus vertex n + 1 joined to the first q vertices outside its
+    residue class.  Those q neighbours fall round-robin into the other
+    r - 1 classes: with full, extra = divmod(q, r - 1), extra classes hold
+    full + 1 of them and the rest hold full.  The new s-cliques are the
+    apex with an (s-1)-clique of its neighbours, so
+
+        mex = e_s(part sizes of T_r(n)) + e_{s-1}(class counts of the q neighbours),
+
+    exact, in O(s^2) integer operations at any m and r.  The sparse regime
+    s > r is rejected: there the maximum is not governed by this
+    construction.
     """
     if m < 0:
         raise ValueError("m must be nonnegative")
     if not r >= s >= 2:
         raise ValueError(f"need r >= s >= 2, got r={r}, s={s}")
-    return count_cliques(colex_turan_graph(r, m), s)
+    n = _turan_order(r, m + 1) - 1
+    q = m - turan_number(r, n)
+    return _e_balanced(s, r, n) + _e_balanced(s - 1, r - 1, q)
 
 
 def mex_profile(r: int, s: int, m_max: int) -> list[int]:
-    """mex values for m = 1..m_max, computed incrementally.
+    """mex values for m = 1..m_max, walking the (n, q) of mex_clique's closed form.
 
-    Adding the m-th edge {u, v} of the r-partite colex order creates
-    exactly as many new s-cliques as there are (s-2)-cliques in the
-    common neighborhood of u and v, so one growing graph serves every m.
+    For each order n, e_s of the part sizes of T_r(n) is computed once; the
+    edges t_r(n) + q for q = 1..t_r(n + 1) - t_r(n) join vertex n + 1 to its
+    q-th neighbour, so mex = e_s(parts) + e_{s-1}(balanced split of q into
+    r - 1 classes).
     """
     if not r >= s >= 2:
         raise ValueError(f"need r >= s >= 2, got r={r}, s={s}")
     if m_max < 0:
         raise ValueError("m_max must be nonnegative")
-    adj: list[int] = [0, 0]
-    succ: list[int] = [0, 0]
-    values = []
-    running = 0
-    rank = 0
+    values: list[int] = []
+    n = 1
     while len(values) < m_max:
-        u, v = colex_unrank(rank, 2)
-        rank += 1
-        if not rpartite_valid((u, v), r):
-            continue
-        while len(adj) <= v:
-            adj.append(0)
-            succ.append(0)
-        running += _count_within(succ, adj[u] & adj[v], s - 2)
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-        succ[u] |= 1 << v
-        values.append(running)
+        base = _e_balanced(s, r, n)
+        steps = min(turan_number(r, n + 1) - turan_number(r, n), m_max - len(values))
+        values.extend(base + _e_balanced(s - 1, r - 1, q) for q in range(1, steps + 1))
+        n += 1
     return values
 
 
@@ -143,7 +160,9 @@ def closed_form_check(r: int, s: int, n: int) -> bool:
     """Exact lattice-point check of the closed form for the extremal count.
 
     For r | n and m the balanced edge count: verifies m = (n/r)^2 binom(r,2)
-    and mex^2 = c_{r,s}^2 * m^s, both in exact arithmetic.
+    and k_s(CT_r(m))^2 = c_{r,s}^2 * m^s, both in exact arithmetic.  The
+    clique count is taken on the built graph, not from mex_clique, so the
+    check stays independent of the formula it confirms.
     """
     if not r >= s >= 2:
         raise ValueError(f"need r >= s >= 2, got r={r}, s={s}")
@@ -152,7 +171,7 @@ def closed_form_check(r: int, s: int, n: int) -> bool:
     m = turan_number(r, n)
     if m != (n // r) ** 2 * comb(r, 2):
         return False
-    kappa = mex_clique(m, s, r)
+    kappa = count_cliques(colex_turan_graph(r, m), s)
     return Fraction(kappa * kappa) == c_rs(r, s).square * m**s
 
 

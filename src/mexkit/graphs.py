@@ -20,7 +20,7 @@ cached degeneracy order for Graph values, or label order
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 __all__ = [
@@ -113,6 +113,40 @@ class Graph:
     def isolated_vertices(self) -> list[int]:
         return [v for v in self.vertices() if self.adjacency[v] == 0]
 
+    @cached_property
+    def _degeneracy_successors(self) -> tuple[int, ...]:
+        """Per-vertex mask of neighbors that come later in a degeneracy order.
+
+        The order repeatedly removes a minimum-degree vertex (ties broken by
+        label), which keeps the branching factor of the counting recursion
+        at the graph's degeneracy.  Vertices wait in per-degree bucket
+        masks, and after a removal the minimum degree drops by at most one,
+        so the order costs O(n + m) mask operations.  Cached on the
+        instance: a Graph is immutable, and an instance cache costs no hash
+        of the adjacency.
+        """
+        deg = [m.bit_count() for m in self.adjacency]
+        buckets = [0] * (max(deg) + 1)
+        for v in self.vertices():
+            buckets[deg[v]] |= 1 << v
+        alive = _vertex_mask(self.vertex_count)
+        succ = [0] * (self.vertex_count + 1)
+        d = 0
+        for _ in self.vertices():
+            d = max(d - 1, 0)
+            while not buckets[d]:
+                d += 1
+            low = buckets[d] & -buckets[d]
+            buckets[d] ^= low
+            alive ^= low
+            v = low.bit_length() - 1
+            succ[v] = self.adjacency[v] & alive
+            for u in _bits(succ[v]):
+                buckets[deg[u]] ^= 1 << u
+                deg[u] -= 1
+                buckets[deg[u]] |= 1 << u
+        return tuple(succ)
+
 
 @dataclass(frozen=True)
 class CliqueProfile:
@@ -169,33 +203,6 @@ def graph_from_edges(
     return Graph(n, tuple(adj))
 
 
-@lru_cache(maxsize=512)
-def _degeneracy_successors(g: Graph) -> tuple[int, ...]:
-    """Per-vertex mask of neighbors that come later in a degeneracy order.
-
-    The order repeatedly removes a minimum-degree vertex (ties broken by
-    label), which keeps the branching factor of the counting recursion at
-    the graph's degeneracy.
-    """
-    n = g.vertex_count
-    deg = [m.bit_count() for m in g.adjacency]
-    alive = [True] * (n + 1)
-    order = []
-    for _ in range(n):
-        v = min((u for u in range(1, n + 1) if alive[u]), key=lambda u: (deg[u], u))
-        order.append(v)
-        alive[v] = False
-        for u in _bits(g.adjacency[v]):
-            if alive[u]:
-                deg[u] -= 1
-    succ = [0] * (n + 1)
-    later = 0
-    for v in reversed(order):
-        succ[v] = g.adjacency[v] & later
-        later |= 1 << v
-    return tuple(succ)
-
-
 def _count_within(succ: Sequence[int], cand: int, depth: int) -> int:
     """Number of depth-cliques inside cand, each counted once via the acyclic successor masks."""
     if depth < 2:
@@ -230,7 +237,7 @@ def count_cliques(g: Graph, t: int) -> int:
         return g.vertex_count
     if t == 2:
         return g.edge_count
-    return _count_within(_degeneracy_successors(g), _vertex_mask(g.vertex_count), t)
+    return _count_within(g._degeneracy_successors, _vertex_mask(g.vertex_count), t)
 
 
 def cliques_at_vertex(g: Graph, v: int, s: int) -> int:
@@ -240,7 +247,7 @@ def cliques_at_vertex(g: Graph, v: int, s: int) -> int:
     """
     if s < 1:
         raise ValueError("clique order must be at least 1")
-    return _count_within(_degeneracy_successors(g), g.neighbor_mask(v), s - 1)
+    return _count_within(g._degeneracy_successors, g.neighbor_mask(v), s - 1)
 
 
 def cliques_at_edge(g: Graph, e: tuple[int, int], s: int) -> int:
@@ -254,7 +261,7 @@ def cliques_at_edge(g: Graph, e: tuple[int, int], s: int) -> int:
     if not g.has_edge(u, v):
         raise ValueError(f"{{{u}, {v}}} is not an edge")
     return _count_within(
-        _degeneracy_successors(g), g.adjacency[u] & g.adjacency[v], s - 2
+        g._degeneracy_successors, g.adjacency[u] & g.adjacency[v], s - 2
     )
 
 
@@ -296,7 +303,7 @@ def contains_clique(g: Graph, k: int) -> bool:
         return g.vertex_count >= 1
     if k == 2:
         return any(m for m in g.adjacency)
-    return _has_within(_degeneracy_successors(g), _vertex_mask(g.vertex_count), k)
+    return _has_within(g._degeneracy_successors, _vertex_mask(g.vertex_count), k)
 
 
 def contains_subgraph(g: Graph, f: Graph) -> bool:

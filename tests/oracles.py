@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from itertools import combinations, product
 
+from mexkit.colex import colex_unrank, rpartite_valid
 from mexkit.graphs import Graph, graph_from_edges
 
 
@@ -42,6 +43,29 @@ def naive_cliques_at_edge(g: Graph, e: tuple[int, int], s: int) -> int:
         if all(g.adjacency[a] >> b & 1 for a, b in combinations(full, 2)):
             count += 1
     return count
+
+
+def naive_degeneracy_successors(g: Graph) -> tuple[int, ...]:
+    """Successor masks of the order that keeps removing a least-degree vertex, ties to the smaller label."""
+    alive = set(g.vertices())
+    succ = [0] * (g.vertex_count + 1)
+    while alive:
+        v = min(alive, key=lambda u: (sum(g.adjacency[u] >> w & 1 for w in alive), u))
+        alive.remove(v)
+        succ[v] = sum(1 << w for w in alive if g.adjacency[v] >> w & 1)
+    return tuple(succ)
+
+
+def naive_colex_pairs(m: int, r: int | None = None) -> list[tuple[int, int]]:
+    """First m pairs of the colex order, r-partite when r is given, by unranking and filtering."""
+    pairs = []
+    rank = 0
+    while len(pairs) < m:
+        pair = colex_unrank(rank, 2)
+        if r is None or rpartite_valid(pair, r):
+            pairs.append(pair)
+        rank += 1
+    return pairs
 
 
 def are_isomorphic(g1: Graph, g2: Graph) -> bool:

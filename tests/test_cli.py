@@ -19,6 +19,14 @@ class TestScalarCommands:
         assert code == 0
         assert out == '{"m":25,"s":3,"r":3,"value":22}\n'
 
+    def test_mex_at_huge_m(self, capsys):
+        code, out, _ = run(capsys, "mex", "--m", "1000000000000000000", "--s", "5", "--r", "7")
+        assert code == 0
+        assert out == (
+            '{"m":1000000000000000000,"s":5,"r":7,'
+            '"value":10391328090445474684967734727491266115841929}\n'
+        )
+
     def test_ex(self, capsys):
         code, out, _ = run(capsys, "ex", "--n", "6", "--t", "3", "--r", "3")
         assert code == 0

@@ -19,6 +19,8 @@ from mexkit.graphs import (
 )
 from mexkit.oracle import canonical_form
 
+from oracles import naive_colex_pairs
+
 
 class TestTuran:
     def test_edge_count_examples(self):
@@ -30,9 +32,11 @@ class TestTuran:
     def test_part_sizes_balanced(self):
         for r in range(1, 6):
             for n in range(13):
-                sizes = TuranSpec(r, n).part_sizes
+                spec = TuranSpec(r, n)
+                sizes = spec.part_sizes
                 assert sum(sizes) == n
                 assert max(sizes) - min(sizes) <= 1
+                assert spec.edge_count == (n * n - sum(s * s for s in sizes)) // 2
 
     def test_clique_free(self):
         for r in range(1, 6):
@@ -51,6 +55,11 @@ class TestColexGraph:
 
     def test_empty(self):
         assert colex_graph(0).vertex_count == 0
+
+    def test_matches_unrank_oracle(self):
+        pairs = naive_colex_pairs(500)
+        for m in range(501):
+            assert colex_graph(m) == graph_from_edges(pairs[:m]), m
 
 
 class TestColexTuranGraph:
@@ -76,6 +85,12 @@ class TestColexTuranGraph:
                 core = non_isolated_subgraph(ct)
                 target = non_isolated_subgraph(turan_graph(r, n))
                 assert canonical_form(core) == canonical_form(target)
+
+    def test_matches_unrank_oracle(self):
+        for r in range(2, 7):
+            pairs = naive_colex_pairs(500, r)
+            for m in range(501):
+                assert colex_turan_graph(r, m) == graph_from_edges(pairs[:m]), (r, m)
 
     def test_edge_counts_match_parameter(self):
         for r in (2, 3, 4):
@@ -127,6 +142,15 @@ class TestCriticalEdgeGadget:
         assert (p.host_order, p.attach_count) == (9, 3)
         p = critical_edge_gadget_params(3, 25)
         assert (p.host_order, p.attach_count) == (9, 4)
+
+    def test_params_match_linear_scan(self):
+        for r in range(2, 9):
+            n = 1
+            for m in range(1, 2001):
+                while turan_number(r, n) < m:
+                    n += 1
+                p = critical_edge_gadget_params(r, m)
+                assert (p.host_order, p.attach_count) == (n, m - turan_number(r, n - 1)), (r, m)
 
     def test_triangle_counts(self):
         g24 = critical_edge_gadget(3, 24)

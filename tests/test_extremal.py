@@ -1,7 +1,9 @@
 from fractions import Fraction
+from math import comb
 
 import pytest
 
+from mexkit.constructions import colex_turan_graph, turan_graph, turan_number
 from mexkit.extremal import (
     ExactSquareScalar,
     beta,
@@ -75,6 +77,14 @@ class TestZykovEx:
         with pytest.raises(ValueError):
             zykov_ex(6, 1, 3)
 
+    def test_matches_turan_graph_count(self):
+        # counting K_t on T_r(n) walks its (t-1)-cliques, about (n/r)^(t-1)
+        # binom(r, t-1) of them, so the largest t stop at a smaller n
+        for r in range(2, 7):
+            for t in range(2, r + 1):
+                for n in range(r, 60 if t < 5 else 40):
+                    assert zykov_ex(n, t, r) == count_cliques(turan_graph(r, n), t), (n, t, r)
+
 
 class TestMexClique:
     def test_examples(self):
@@ -91,6 +101,28 @@ class TestMexClique:
             values = [mex_clique(m, s, r) for m in range(40)]
             assert values == sorted(values)
 
+    def test_matches_colex_turan_count(self):
+        # every m < 400 passes each boundary t_r(n) and t_r(n) + 1 on the way
+        for r in range(2, 7):
+            for m in range(400):
+                g = colex_turan_graph(r, m)
+                for s in range(2, r + 1):
+                    assert mex_clique(m, s, r) == count_cliques(g, s), (m, s, r)
+
+    def test_huge_balanced_points(self):
+        for r in range(2, 9):
+            n = r * 10**6
+            for s in range(2, r + 1):
+                assert mex_clique(turan_number(r, n), s, r) == comb(r, s) * (n // r) ** s
+
+    def test_huge_m_within_clique_density_bound(self):
+        for m in (10**18, 10**18 + 1, 3 * 10**17 + 7):
+            for r in range(2, 9):
+                for s in range(2, r + 1):
+                    value = mex_clique(m, s, r)
+                    assert value > 0
+                    assert value * value <= c_rs(r, s).square * m**s, (m, s, r)
+
 
 class TestMexProfile:
     def test_examples(self):
@@ -99,11 +131,10 @@ class TestMexProfile:
         assert mex_profile(3, 3, 0) == []
 
     def test_matches_direct_recomputation(self):
-        for r in range(2, 5):
+        for r in range(2, 7):
             for s in range(2, r + 1):
-                profile = mex_profile(r, s, 60)
-                for m in range(1, 61):
-                    assert profile[m - 1] == mex_clique(m, s, r), (r, s, m)
+                profile = mex_profile(r, s, 500)
+                assert profile == [mex_clique(m, s, r) for m in range(1, 501)], (r, s)
 
 
 class TestClosedForm:

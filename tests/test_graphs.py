@@ -17,7 +17,12 @@ from mexkit.graphs import (
 )
 
 from corpus import named_small_graphs, small_corpus
-from oracles import naive_cliques_at_edge, naive_cliques_at_vertex, naive_count_cliques
+from oracles import (
+    naive_cliques_at_edge,
+    naive_cliques_at_vertex,
+    naive_count_cliques,
+    naive_degeneracy_successors,
+)
 
 TRIANGLE = graph_from_edges([(1, 2), (1, 3), (2, 3)])
 PATH3 = graph_from_edges([(1, 2), (2, 3)])
@@ -187,6 +192,19 @@ class TestInvariants:
                 assert cliques_at_vertex(g, v, s) == naive_cliques_at_vertex(g, v, s)
             for s in (2, 3, 4, 5):
                 assert cliques_at_edge(g, e, s) == naive_cliques_at_edge(g, e, s)
+
+    def test_degeneracy_order_matches_naive_definition(self):
+        import random
+
+        rng = random.Random(405)
+        graphs = [Graph(0, (0,)), colex_turan_graph(3, 300), turan_graph(4, 13)]
+        for _ in range(200):
+            n = rng.randint(1, 14)
+            pairs = [(u, v) for v in range(2, n + 1) for u in range(1, v)]
+            edges = rng.sample(pairs, rng.randint(0, len(pairs)))
+            graphs.append(graph_from_edges(edges, explicit_vertex_count=n))
+        for g in graphs:
+            assert g._degeneracy_successors == naive_degeneracy_successors(g)
 
     def test_subgraph_matches_clique_count(self):
         for g in named_small_graphs():
