@@ -8,10 +8,16 @@ deterministic: among qualifying items the one of minimum value is
 removed, ties broken by colex order (edges) or smallest label (vertices).
 Deleted vertices remain as isolated placeholders so labels stay stable
 and traces replay exactly.
+
+Cost: the edge process counts each edge's s-cliques once, then after a
+deletion recounts only the edges that shared an s-clique with the deleted
+one, keeping the least value in a lazy heap; the vertex process scans the
+live vertices' degrees, O(n) popcounts a step.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from math import factorial
@@ -163,37 +169,69 @@ class ProcessTrace:
 
 
 def edge_deletion_process(g: Graph, config: ProcessConfig) -> ProcessTrace:
-    """Repeatedly delete a qualifying minimum-value edge until none is left or the budget runs out."""
+    """Repeatedly delete a qualifying minimum-value edge until none is left or the budget runs out.
+
+    Every edge's value (the s-cliques through it) is counted once, up
+    front, and kept in a dict beside a lazy min-heap keyed (value, v, u),
+    so the least key is the colex-first edge of least value.  Deleting
+    {u, v} can change only the values of edges sharing an s-clique with
+    it: uw and vw for w in W = N(u) & N(v), and, when s >= 4, the edges
+    inside W.  Only those are recounted, and a heap entry is pushed only
+    when a value changes; an entry whose value no longer matches the dict
+    is stale and is popped when it reaches the top.  The least live value
+    qualifies iff some edge does, so each step compares it alone with the
+    threshold.
+    """
     if config.mode != "edge":
         raise ValueError("config.mode must be 'edge'")
     if config.edge_budget > g.edge_count:
         raise ValueError("edge_budget exceeds the edge count")
     n = g.vertex_count
     adj = list(g.adjacency)
+    succ = [a & -(2 << v) for v, a in enumerate(adj)]
     m_cur = g.edge_count
-    s = config.s
+    depth = config.s - 2
     steps: list[ProcessStep] = []
+    value = {(u, v): _count_within(succ, adj[u] & adj[v], depth) for u, v in _colex_edges(adj)}
+    heap = [(val, v, u) for (u, v), val in value.items()]
+    heapq.heapify(heap)
 
-    def best_qualifying() -> tuple[tuple[int, int], int] | None:
-        threshold = config.coefficient * m_cur**config.exponent
-        best = None
-        succ = [a & -(2 << v) for v, a in enumerate(adj)]
-        for u, v in _colex_edges(adj):
-            val = _count_within(succ, adj[u] & adj[v], s - 2)
-            if val < threshold and (best is None or val < best[1]):
-                best = ((u, v), val)
-        return best
+    def recount(a: int, b: int) -> None:
+        e = (a, b) if a < b else (b, a)
+        val = _count_within(succ, adj[a] & adj[b], depth)
+        if value[e] != val:
+            value[e] = val
+            heapq.heappush(heap, (val, e[1], e[0]))
+
+    def least_qualifying() -> tuple[tuple[int, int], int] | None:
+        while heap:
+            val, v, u = heap[0]
+            if value.get((u, v)) == val:
+                # an edge is left, so m_cur > 0 and a negative exponent is safe
+                threshold = config.coefficient * m_cur**config.exponent
+                return ((u, v), val) if val < threshold else None
+            heapq.heappop(heap)
+        return None
 
     while len(steps) < config.edge_budget:
-        pick = best_qualifying()
+        pick = least_qualifying()
         if pick is None:
             return ProcessTrace(tuple(steps), Graph(n, tuple(adj)), False, None)
         (u, v), val = pick
+        common = adj[u] & adj[v]
         adj[u] &= ~(1 << v)
         adj[v] &= ~(1 << u)
+        succ[u] &= ~(1 << v)
+        del value[(u, v)]
         m_cur -= 1
         steps.append(ProcessStep("edge", (u, v), val, m_cur))
-    exhausted = best_qualifying() is not None
+        for w in _bits(common):
+            recount(u, w)
+            recount(v, w)
+            if depth >= 2:
+                for x in _bits(common & succ[w]):
+                    recount(w, x)
+    exhausted = least_qualifying() is not None
     return ProcessTrace(tuple(steps), Graph(n, tuple(adj)), exhausted, None)
 
 

@@ -3,8 +3,9 @@
 Nothing here touches the package's counting, canonicalization, or
 enumeration machinery: clique counts run over raw vertex subsets,
 isomorphism is a permutation backtracking search, the graph enumerator
-walks colex-sorted first-use-labeled edge lists, and partition edits
-scan every part assignment.  Slow on purpose; used at desk scale only.
+walks colex-sorted first-use-labeled edge lists, partition edits scan
+every part assignment, and the edge deletion process recounts every edge
+at every step.  Slow on purpose; used at desk scale only.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from itertools import combinations, product
 
 from mexkit.colex import colex_unrank, rpartite_valid
 from mexkit.graphs import Graph, graph_from_edges
+from mexkit.processes import ProcessConfig, ProcessStep, ProcessTrace
 
 
 def naive_count_cliques(g: Graph, t: int) -> int:
@@ -43,6 +45,44 @@ def naive_cliques_at_edge(g: Graph, e: tuple[int, int], s: int) -> int:
         if all(g.adjacency[a] >> b & 1 for a, b in combinations(full, 2)):
             count += 1
     return count
+
+
+def naive_edge_deletion_process(g: Graph, config: ProcessConfig) -> ProcessTrace:
+    """The edge process by its documented rule, recounting every edge at every step.
+
+    A step takes the least-valued edge whose value (s-cliques through it)
+    is below coefficient * (edge count)**exponent, ties going to the first
+    edge in colex order; the run stops when no edge qualifies or the
+    budget is spent, and budget_exhausted records whether an edge still
+    qualified then.
+    """
+    n = g.vertex_count
+    adj = list(g.adjacency)
+    steps = []
+
+    def least_qualifying():
+        current = Graph(n, tuple(adj))
+        edges = [(u, v) for v in range(2, n + 1) for u in range(1, v) if adj[u] >> v & 1]
+        if not edges:
+            return None
+        threshold = config.coefficient * len(edges) ** config.exponent
+        best = None
+        for e in edges:
+            value = naive_cliques_at_edge(current, e, config.s)
+            if value < threshold and (best is None or value < best[1]):
+                best = (e, value)
+        return best
+
+    while len(steps) < config.edge_budget:
+        pick = least_qualifying()
+        if pick is None:
+            return ProcessTrace(tuple(steps), Graph(n, tuple(adj)), False, None)
+        (u, v), value = pick
+        adj[u] &= ~(1 << v)
+        adj[v] &= ~(1 << u)
+        steps.append(ProcessStep("edge", (u, v), value, g.edge_count - len(steps) - 1))
+    exhausted = least_qualifying() is not None
+    return ProcessTrace(tuple(steps), Graph(n, tuple(adj)), exhausted, None)
 
 
 def naive_degeneracy_successors(g: Graph) -> tuple[int, ...]:

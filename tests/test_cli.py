@@ -254,6 +254,42 @@ class TestProcess:
         }
         assert lines[-1]["kind"] == "summary"
 
+    def test_edge_trace_pinned_bytes(self, capsys, tmp_path):
+        from mexkit.constructions import colex_turan_graph
+
+        path = tmp_path / "ct.edges"
+        path.write_text(format_edge_list(colex_turan_graph(4, 40)))
+        code, out, _ = run(
+            capsys,
+            "process", "edge", "--input", str(path), "--s", "4", "--r", "4",
+            "--epsilon", "0.3", "--coefficient", "1000000", "--exponent", "0",
+            "--budget", "20",
+        )
+        assert code == 0
+        assert out == (
+            '{"step":0,"kind":"edge","item":[1,11],"value":1,"edges_after":39}\n'
+            '{"step":1,"kind":"edge","item":[2,11],"value":0,"edges_after":38}\n'
+            '{"step":2,"kind":"edge","item":[4,11],"value":0,"edges_after":37}\n'
+            '{"step":3,"kind":"edge","item":[1,2],"value":4,"edges_after":36}\n'
+            '{"step":4,"kind":"edge","item":[1,3],"value":4,"edges_after":35}\n'
+            '{"step":5,"kind":"edge","item":[1,4],"value":2,"edges_after":34}\n'
+            '{"step":6,"kind":"edge","item":[1,6],"value":1,"edges_after":33}\n'
+            '{"step":7,"kind":"edge","item":[1,7],"value":1,"edges_after":32}\n'
+            '{"step":8,"kind":"edge","item":[1,8],"value":0,"edges_after":31}\n'
+            '{"step":9,"kind":"edge","item":[1,10],"value":0,"edges_after":30}\n'
+            '{"step":10,"kind":"edge","item":[2,3],"value":4,"edges_after":29}\n'
+            '{"step":11,"kind":"edge","item":[2,4],"value":2,"edges_after":28}\n'
+            '{"step":12,"kind":"edge","item":[2,5],"value":1,"edges_after":27}\n'
+            '{"step":13,"kind":"edge","item":[2,7],"value":1,"edges_after":26}\n'
+            '{"step":14,"kind":"edge","item":[2,8],"value":0,"edges_after":25}\n'
+            '{"step":15,"kind":"edge","item":[2,9],"value":0,"edges_after":24}\n'
+            '{"step":16,"kind":"edge","item":[3,4],"value":4,"edges_after":23}\n'
+            '{"step":17,"kind":"edge","item":[3,5],"value":2,"edges_after":22}\n'
+            '{"step":18,"kind":"edge","item":[3,6],"value":1,"edges_after":21}\n'
+            '{"step":19,"kind":"edge","item":[3,8],"value":1,"edges_after":20}\n'
+            '{"kind":"summary","steps":20,"final_edges":20,"budget_exhausted":true}\n'
+        )
+
     def test_stability_report(self, capsys, tmp_path):
         path = tmp_path / "ct.edges"
         from mexkit.constructions import colex_turan_graph

@@ -1,4 +1,6 @@
 import math
+import random
+from itertools import combinations
 
 import pytest
 
@@ -21,7 +23,8 @@ from mexkit.processes import (
     vertex_deletion_process,
 )
 
-from oracles import naive_cliques_at_edge
+from corpus import process_corpus
+from oracles import naive_cliques_at_edge, naive_edge_deletion_process
 
 PAW = graph_from_edges([(1, 2), (1, 3), (2, 3), (3, 4)])
 
@@ -143,6 +146,68 @@ class TestEdgeProcess:
         t2 = edge_deletion_process(g, cfg)
         assert t1 == t2
         assert replay_trace(g, t1) == t1.final_graph
+
+
+def _random_graph(rng, n):
+    pairs = [(u, v) for v in range(2, n + 1) for u in range(1, v)]
+    edges = rng.sample(pairs, rng.randint(len(pairs) // 3, len(pairs)))
+    return graph_from_edges(edges, explicit_vertex_count=n)
+
+
+class TestEdgeProcessAgainstRescan:
+    """Traces equal those of the rescan oracle, which recounts every edge at every step."""
+
+    def test_random_graphs(self):
+        rng = random.Random(4)
+        stops = set()
+        for s in (2, 3, 4, 5):
+            for exponent in (0.0, 0.5, (s - 2) / 2, -0.5):
+                for _ in range(3):
+                    g = _random_graph(rng, rng.randint(5, 9))
+                    m = g.edge_count
+                    # a threshold near the middle of the initial values stops
+                    # most runs on the threshold; a huge one stops them on the budget
+                    values = sorted(naive_cliques_at_edge(g, e, s) for e in g.edges())
+                    middle = (values[m // 2] + 0.5) / m**exponent
+                    for coefficient in (middle, 1e9):
+                        for budget in (0, m // 2, m):
+                            cfg = edge_config(g, coefficient, exponent, budget, s=s)
+                            trace = edge_deletion_process(g, cfg)
+                            assert trace == naive_edge_deletion_process(g, cfg)
+                            stops.add((trace.budget_exhausted, len(trace.steps) == budget))
+        # runs ended on the threshold before the budget, on the budget with an
+        # edge still qualifying, and on both at once
+        assert {(False, False), (True, True), (False, True)} <= stops
+
+    def test_recount_inside_common_neighbourhood(self):
+        # a core K_s on 1..s, and one more K_s on each core edge {x, y} with
+        # x in {1, 2} and y >= 3, through s - 2 fresh vertices.  {1, 2} goes
+        # first; that leaves {3, 4}, inside N(1) & N(2), in no s-clique, while
+        # every edge at 1 or 2 keeps its own.  A stale value of {3, 4} would
+        # let {1, 3} go before it.
+        for s in (4, 5):
+            cliques = [tuple(range(1, s + 1))]
+            fresh = s + 1
+            for x in (1, 2):
+                for y in range(3, s + 1):
+                    cliques.append((x, y) + tuple(range(fresh, fresh + s - 2)))
+                    fresh += s - 2
+            g = graph_from_edges(sorted({e for c in cliques for e in combinations(c, 2)}))
+            cfg = edge_config(g, 1e9, 0.0, 3, s=s)
+            trace = edge_deletion_process(g, cfg)
+            first_two = [(step.item, step.value) for step in trace.steps[:2]]
+            assert first_two == [((1, 2), 1), ((3, 4), 0)]
+            assert trace == naive_edge_deletion_process(g, cfg)
+
+    def test_process_corpus(self):
+        for g in process_corpus():
+            configs = [
+                default_edge_config(g, 3, 3, 0.3),
+                ProcessConfig("edge", 3, 3, 0.3, 10.0, 0.0, math.floor(0.6 * g.edge_count)),
+                ProcessConfig("edge", 4, 3, 0.3, 1e9, 0.0, g.edge_count // 3),
+            ]
+            for cfg in configs:
+                assert edge_deletion_process(g, cfg) == naive_edge_deletion_process(g, cfg)
 
 
 class TestVertexProcess:
