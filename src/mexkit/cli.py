@@ -28,7 +28,8 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_CAP = 3
 
-_EXPECTED_GRAPH_COUNTS = [1, 2, 5, 11, 26, 68, 177, 497]
+# OEIS A000664: graphs with m edges and no isolated vertices
+_EXPECTED_GRAPH_COUNTS = [1, 2, 5, 11, 26, 68, 177, 497, 1476, 4613]
 
 
 def _cap(default: int | None) -> int | None:

@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import time
 import warnings
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations, product
 from math import comb
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .graphs import (
     Graph,
@@ -108,38 +109,99 @@ def _component_vertex_lists(g: Graph) -> list[list[int]]:
     return comps
 
 
-def _component_bits(adjacency: tuple[int, ...], verts: list[int]) -> tuple[int, ...]:
-    """Lexicographically minimal adjacency bitstring over all labelings of one component.
+def _refine(
+    adjacency: Sequence[int], cells: list[list[int]], splitters: list[int]
+) -> list[list[int]]:
+    """Coarsest equitable refinement of an ordered partition.
 
-    Bits are emitted pair-by-pair in colex order ((1,2),(1,3),(2,3),...),
-    so prefixes are comparable during the branch-and-bound search.
+    Splitters are vertex masks, taken first in first out: every cell
+    splits by its vertices' neighbour counts into the splitter, sub-cells
+    in increasing count order, and each sub-cell but the first largest
+    becomes a splitter (stability with respect to the parent and the
+    other sub-cells implies it for that one).  The partition must already
+    be equitable with respect to every cell not covered by the splitters.
+    Splits and their order depend on counts alone, never on labels.
+    """
+    queue = deque(splitters)
+    n = sum(map(len, cells))
+    while queue and len(cells) < n:
+        w = queue.popleft()
+        out = []
+        for cell in cells:
+            if len(cell) > 1:
+                counts = [(adjacency[v] & w).bit_count() for v in cell]
+                if min(counts) != max(counts):
+                    groups: dict[int, list[int]] = {}
+                    for k, v in zip(counts, cell):
+                        groups.setdefault(k, []).append(v)
+                    subs = [groups[k] for k in sorted(groups)]
+                    skip = subs.index(max(subs, key=len))
+                    queue.extend(
+                        sum(1 << v for v in sub) for i, sub in enumerate(subs) if i != skip
+                    )
+                    out.extend(subs)
+                    continue
+            out.append(cell)
+        cells = out
+    return cells
+
+
+def _component_bits(adjacency: Sequence[int], verts: list[int]) -> tuple[int, ...]:
+    """Canonical adjacency bitstring of one component, by individualization-refinement.
+
+    The search tree starts from the equitable refinement of the unit
+    partition.  A node branches on its first smallest non-singleton cell,
+    individualizing each of the cell's vertices in turn and refining
+    again; only one vertex per class of twins is tried (u and w with
+    N(u)-{w} = N(w)-{u}: swapping them is an automorphism fixing the
+    node, so their subtrees hold the same leaves).  A leaf orders the
+    vertices; its bitstring has one bit per pair of positions, in colex
+    order ((1,2),(1,3),(2,3),(1,4),...), and the form is the least such
+    bitstring over the leaves in colex order, i.e. the least number with
+    bit i set for the i-th pair (McKay & Piperno, "Practical graph
+    isomorphism II", JSC 2014).
     """
     c = len(verts)
     if c == 1:
         return ()
-    best: tuple[int, ...] | None = None
+    edges = [(u, v) for v in verts for u in _bits(adjacency[v] & (1 << v) - 1)]
+    pos = [0] * len(adjacency)
+    best = -1
 
-    def rec(placed: tuple[int, ...], prefix: tuple[int, ...]) -> None:
+    def search(cells: list[list[int]]) -> None:
         nonlocal best
-        if len(placed) == c:
-            if best is None or prefix < best:
-                best = prefix
+        if len(cells) == c:
+            for i, (v,) in enumerate(cells):
+                pos[v] = i
+            code = 0
+            for u, v in edges:
+                i, j = pos[u], pos[v]
+                code |= 1 << (j * (j - 1) // 2 + i if i < j else i * (i - 1) // 2 + j)
+            if best < 0 or code < best:
+                best = code
             return
-        for v in verts:
-            if v in placed:
+        k = min(
+            (i for i, cell in enumerate(cells) if len(cell) > 1), key=lambda i: len(cells[i])
+        )
+        tried: list[int] = []
+        for v in cells[k]:
+            if any((adjacency[u] ^ adjacency[v]) & ~(1 << u | 1 << v) == 0 for u in tried):
                 continue
-            cand = prefix + tuple((adjacency[p] >> v) & 1 for p in placed)
-            if best is not None and cand > best[: len(cand)]:
-                continue
-            rec(placed + (v,), cand)
+            tried.append(v)
+            rest = [w for w in cells[k] if w != v]
+            search(_refine(adjacency, cells[:k] + [[v], rest] + cells[k + 1 :], [1 << v]))
 
-    rec((), ())
-    assert best is not None
-    return best
+    search(_refine(adjacency, [list(verts)], [sum(1 << v for v in verts)]))
+    return tuple(best >> i & 1 for i in range(c * (c - 1) // 2))
 
 
 def canonical_form(g: Graph) -> tuple:
-    """Isomorphism-invariant key: vertex count plus sorted component bitstrings."""
+    """Isomorphism-invariant key: vertex count plus sorted component items.
+
+    Each component contributes (size, bits) with bits from
+    _component_bits; two graphs get equal keys exactly when they are
+    isomorphic, and _graph_from_items rebuilds the representative.
+    """
     items = sorted(
         (len(vs), _component_bits(g.adjacency, vs)) for vs in _component_vertex_lists(g)
     )
@@ -180,13 +242,6 @@ _CONNECTED_LEVELS: list[list[tuple[tuple[int, tuple[int, ...]], Graph]]] = [
 ]
 
 
-def _with_edge(g: Graph, u: int, v: int, n: int) -> Graph:
-    adj = list(g.adjacency) + [0] * (n - g.vertex_count)
-    adj[u] |= 1 << v
-    adj[v] |= 1 << u
-    return Graph(n, tuple(adj))
-
-
 def _connected_upto(m: int) -> list[list[tuple[tuple[int, tuple[int, ...]], Graph]]]:
     """Connected graphs with up to m edges, one canonical representative each.
 
@@ -199,22 +254,30 @@ def _connected_upto(m: int) -> list[list[tuple[tuple[int, tuple[int, ...]], Grap
         seen: dict[tuple, tuple[tuple[int, tuple[int, ...]], Graph]] = {}
         for _, h in _CONNECTED_LEVELS[-1]:
             n = h.vertex_count
+            adj = list(h.adjacency)
             for v in range(2, n + 1):
                 for u in range(1, v):
-                    if not h.adjacency[u] >> v & 1:
-                        _record_connected(seen, _with_edge(h, u, v, n))
+                    if not adj[u] >> v & 1:
+                        adj[u] ^= 1 << v
+                        adj[v] ^= 1 << u
+                        _record_connected(seen, adj, n)
+                        adj[u] ^= 1 << v
+                        adj[v] ^= 1 << u
+            adj.append(0)
             for u in range(1, n + 1):
-                _record_connected(seen, _with_edge(h, u, n + 1, n + 1))
+                adj[u] ^= 1 << n + 1
+                adj[n + 1] = 1 << u
+                _record_connected(seen, adj, n + 1)
+                adj[u] ^= 1 << n + 1
         _CONNECTED_LEVELS.append(sorted(seen.values(), key=lambda iv: iv[0]))
     return _CONNECTED_LEVELS
 
 
-def _record_connected(seen: dict, g: Graph) -> None:
-    comps = _component_vertex_lists(g)
-    assert len(comps) == 1
-    item = (g.vertex_count, _component_bits(g.adjacency, comps[0]))
+def _record_connected(seen: dict, adj: list[int], n: int) -> None:
+    """File the connected graph on vertices 1..n under its canonical item."""
+    item = (n, _component_bits(adj, list(range(1, n + 1))))
     if item not in seen:
-        seen[item] = (item, _graph_from_items(g.vertex_count, (item,)))
+        seen[item] = (item, _graph_from_items(n, (item,)))
 
 
 def enumerate_graphs(
@@ -280,20 +343,20 @@ def _is_free(g: Graph, forbidden: Graph, forb_k: int | None) -> bool:
     return not contains_subgraph(g, forbidden)
 
 
-def _mex_chunk(payload: tuple) -> tuple[int, list[Graph], int]:
-    graphs, s, forbidden, forb_k = payload
+def _mex_chunk(payload: tuple) -> tuple[int, list[int], int]:
+    indexed, s, forbidden, forb_k = payload
     best = -1
-    attainers: list[Graph] = []
-    for g in graphs:
+    attainers: list[int] = []
+    for i, g in indexed:
         if not _is_free(g, forbidden, forb_k):
             continue
         val = count_cliques(g, s)
         if val > best:
             best = val
-            attainers = [g]
+            attainers = [i]
         elif val == best:
-            attainers.append(g)
-    return best, attainers, len(graphs)
+            attainers.append(i)
+    return best, attainers, len(indexed)
 
 
 def brute_force_mex(
@@ -311,15 +374,17 @@ def brute_force_mex(
     start = time.perf_counter()
     graphs = list(enumerate_graphs(m, cap=cap))
     forb_k = _clique_order(forbidden)
-    chunks = _partition(graphs, workers)
+    chunks = _partition(list(enumerate(graphs)), workers)
     results = _run_chunks(
         _mex_chunk, [(chunk, s, forbidden, forb_k) for chunk in chunks], workers
     )
     best = max((b for b, _, _ in results), default=-1)
-    attainers = [g for b, gs, _ in results if b == best for g in gs]
+    # enumerate_graphs yields canonical representatives in canonical-form
+    # order, so their indices order the attainers without relabeling them
+    indices = sorted(i for b, idx, _ in results if b == best for i in idx)
+    attainers = [graphs[i] for i in indices]
     if best < 0:
         best, attainers = 0, []
-    attainers.sort(key=canonical_form)
     return SearchResult(
         optimum=best,
         witnesses=tuple(attainers[:witness_limit]),

@@ -236,7 +236,12 @@ def edge_deletion_process(g: Graph, config: ProcessConfig) -> ProcessTrace:
 
 
 def vertex_deletion_process(g: Graph, config: ProcessConfig) -> ProcessTrace:
-    """Repeatedly delete a qualifying minimum-degree vertex, stopping exactly at the edge budget."""
+    """Repeatedly delete a qualifying minimum-degree vertex, stopping exactly at the edge budget.
+
+    Once no edge is left, a negative exponent makes the threshold its
+    limit +inf, so the remaining isolated vertices qualify at zero cost
+    (as they do under exponent 0).
+    """
     if config.mode != "vertex":
         raise ValueError("config.mode must be 'vertex'")
     if config.edge_budget > g.edge_count:
@@ -249,7 +254,10 @@ def vertex_deletion_process(g: Graph, config: ProcessConfig) -> ProcessTrace:
     deleted_edges = 0
 
     def pick_vertex() -> int | None:
-        threshold = config.coefficient * m_cur**config.exponent
+        if m_cur == 0 and config.exponent < 0:
+            threshold = math.inf
+        else:
+            threshold = config.coefficient * m_cur**config.exponent
         best = None
         for v in range(1, n + 1):
             if removed_mask >> v & 1:

@@ -38,6 +38,36 @@ def named_small_graphs() -> list[Graph]:
     ]
 
 
+def labeling_hard_graphs() -> list[Graph]:
+    """Graphs on which canonical labeling branches most.
+
+    The symmetric star K_{1,10}, cycle C_11, K_{4,4}, K_{5,5,5}, cube Q_3,
+    Petersen graph and spider with five legs of length 2; and the Frucht
+    graph, 3-regular with no automorphism but the identity, where colour
+    refinement splits nothing yet no two vertices are interchangeable.
+    """
+    cube = [(u + 1, (u | 1 << b) + 1) for u in range(8) for b in range(3) if not u >> b & 1]
+    petersen = (
+        [(i, i % 5 + 1) for i in range(1, 6)]
+        + [(i, i + 5) for i in range(1, 6)]
+        + [(i + 5, (i + 1) % 5 + 6) for i in range(1, 6)]
+    )
+    spider = [(1, leg) for leg in range(2, 7)] + [(leg, leg + 5) for leg in range(2, 7)]
+    lcf = [-5, -2, -4, 2, 5, -2, 2, 5, -2, -5, 4, 2]
+    frucht = [(i + 1, (i + 1) % 12 + 1) for i in range(12)]
+    frucht += [(i + 1, (i + d) % 12 + 1) for i, d in enumerate(lcf) if i < (i + d) % 12]
+    return [
+        graph_from_edges([(1, leaf) for leaf in range(2, 12)]),
+        graph_from_edges([(i, i % 11 + 1) for i in range(1, 12)]),
+        turan_graph(2, 8),
+        turan_graph(3, 15),
+        graph_from_edges(cube),
+        graph_from_edges(petersen),
+        graph_from_edges(spider),
+        graph_from_edges(frucht),
+    ]
+
+
 def small_corpus() -> list[Graph]:
     """Graphs with at most 8 vertices, for naive-agreement checks."""
     return [g for g in named_small_graphs() if g.vertex_count <= 8]

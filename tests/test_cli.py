@@ -148,6 +148,14 @@ class TestVerifySubcommands:
         assert code == 0
         assert out.count("ok") == 5
 
+    def test_enumeration_to_the_edge_cap(self, capsys):
+        code, out, _ = run(capsys, "verify", "enumeration", "--m-max", "10")
+        assert code == 0
+        assert out.splitlines()[-2:] == [
+            "m=10 enumerated=4613 expected=4613 ok",
+            "enumeration m<=10: ok",
+        ]
+
     def test_serial_fallback_keeps_stdout(self, capsys, monkeypatch):
         def no_pool(*args, **kwargs):
             raise OSError("no process pool here")
@@ -288,6 +296,26 @@ class TestProcess:
             '{"step":18,"kind":"edge","item":[3,6],"value":1,"edges_after":21}\n'
             '{"step":19,"kind":"edge","item":[3,8],"value":1,"edges_after":20}\n'
             '{"kind":"summary","steps":20,"final_edges":20,"budget_exhausted":true}\n'
+        )
+
+    def test_vertex_negative_exponent_once_no_edge_is_left(self, capsys, tmp_path):
+        # coefficient * 0**exponent is +inf for exponent < 0: the isolated
+        # vertices left at m = 0 qualify at zero cost, as under exponent 0
+        path = tmp_path / "matching.edges"
+        path.write_text("1 2\n3 4\n")
+        code, out, _ = run(
+            capsys,
+            "process", "vertex", "--input", str(path), "--s", "3", "--r", "3",
+            "--epsilon", "0.3", "--coefficient", "10", "--exponent", "-0.5",
+            "--budget", "2",
+        )
+        assert code == 0
+        assert out == (
+            '{"step":0,"kind":"vertex","item":1,"value":1,"edges_after":1}\n'
+            '{"step":1,"kind":"vertex","item":2,"value":0,"edges_after":1}\n'
+            '{"step":2,"kind":"vertex","item":3,"value":1,"edges_after":0}\n'
+            '{"step":3,"kind":"vertex","item":4,"value":0,"edges_after":0}\n'
+            '{"kind":"summary","steps":4,"final_edges":0,"budget_exhausted":false}\n'
         )
 
     def test_stability_report(self, capsys, tmp_path):

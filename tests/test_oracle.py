@@ -23,7 +23,7 @@ from mexkit.oracle import (
     min_edits_to_r_partite,
 )
 
-from corpus import named_small_graphs
+from corpus import labeling_hard_graphs, named_small_graphs
 from oracles import are_isomorphic, naive_min_edits, naive_nonisomorphic_graphs
 
 C5 = graph_from_edges([(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)])
@@ -34,16 +34,8 @@ class TestCanonicalForm:
         rng = random.Random(11)
         pool = named_small_graphs() + list(enumerate_graphs(5))
         for g in pool:
-            n = g.vertex_count
             for _ in range(3):
-                perm = list(range(1, n + 1))
-                rng.shuffle(perm)
-                relabel = {v: perm[v - 1] for v in g.vertices()}
-                shuffled = graph_from_edges(
-                    [(relabel[u], relabel[v]) for u, v in g.edges()],
-                    explicit_vertex_count=n,
-                )
-                assert canonical_form(shuffled) == canonical_form(g)
+                assert canonical_form(_shuffled(g, rng)) == canonical_form(g)
 
     def test_separates_non_isomorphic(self):
         p4 = graph_from_edges([(1, 2), (2, 3), (3, 4)])
@@ -56,30 +48,33 @@ class TestCanonicalForm:
             assert canonical_graph(c) == c
             assert canonical_form(c) == canonical_form(g)
 
-    def test_component_bits_match_brute_permutation_minimum(self):
-        from itertools import permutations
+    def test_canonical_graph_is_isomorphic_to_input(self):
+        rng = random.Random(5)
+        for m in range(1, 7):
+            for g in naive_nonisomorphic_graphs(m):
+                c = canonical_graph(g)
+                assert are_isomorphic(c, g)
+                assert canonical_form(_shuffled(g, rng)) == canonical_form(g)
 
-        from mexkit.oracle import _component_bits, _component_vertex_lists
+    def test_invariant_under_relabeling_on_hard_graphs(self):
+        rng = random.Random(23)
+        for g in labeling_hard_graphs():
+            form = canonical_form(g)
+            c = canonical_graph(g)
+            assert are_isomorphic(c, g)
+            assert canonical_graph(c) == c
+            for _ in range(5):
+                assert canonical_form(_shuffled(g, rng)) == form
 
-        def brute_min_bits(g, verts):
-            best = None
-            for perm in permutations(verts):
-                bits = []
-                for j in range(1, len(perm)):
-                    for i in range(j):
-                        bits.append(1 if g.adjacency[perm[i]] >> perm[j] & 1 else 0)
-                t = tuple(bits)
-                if best is None or t < best:
-                    best = t
-            return best
 
-        for m in range(1, 6):
-            for g in enumerate_graphs(m):
-                for verts in _component_vertex_lists(g):
-                    if 2 <= len(verts) <= 5:
-                        assert _component_bits(g.adjacency, verts) == brute_min_bits(
-                            g, verts
-                        )
+def _shuffled(g, rng):
+    """g with its vertex labels permuted at random."""
+    perm = list(g.vertices())
+    rng.shuffle(perm)
+    return graph_from_edges(
+        [(perm[u - 1], perm[v - 1]) for u, v in g.edges()],
+        explicit_vertex_count=g.vertex_count,
+    )
 
 
 class TestEnumeration:
@@ -165,6 +160,23 @@ class TestBruteForceMex:
         assert seq.optimum == par.optimum
         assert seq.witness_count == par.witness_count
         assert seq.witnesses == par.witnesses
+
+    def test_witnesses_in_canonical_form_order(self):
+        # every triangle-free graph attains s = 2 (m edges), so the attainers
+        # interleave across the worker chunks
+        tri = complete_graph(3)
+        expected = sorted(
+            (g for g in enumerate_graphs(6) if not contains_subgraph(g, tri)),
+            key=canonical_form,
+        )
+        for workers in (1, 3):
+            res = brute_force_mex(6, 2, tri, witness_limit=len(expected), workers=workers)
+            assert res.witness_count == len(expected) > 16
+            assert list(res.witnesses) == expected
+
+    @pytest.mark.parametrize("m", [9, 10])
+    def test_matches_closed_form_at_the_edge_cap(self, m):
+        assert brute_force_mex(m, 3, complete_graph(4)).optimum == mex_clique(m, 3, 3)
 
 
 class TestBruteForceEx:
@@ -317,7 +329,11 @@ class TestFindBlowup:
 
 class TestCrossChecks:
     def test_isomorphism_oracle_agrees_with_canonical_form(self):
-        graphs = list(enumerate_graphs(4))
+        graphs = [
+            g
+            for m in range(1, 7)
+            for g in list(enumerate_graphs(m)) + naive_nonisomorphic_graphs(m)
+        ]
         for i, g in enumerate(graphs):
             for h in graphs[i:]:
                 same = canonical_form(g) == canonical_form(h)
