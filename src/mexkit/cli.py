@@ -187,11 +187,7 @@ def _cmd_verify_frohmader(args: argparse.Namespace) -> int:
     all_ok = True
     for m in range(1, args.m_max + 1):
         brute = oracle.brute_force_mex(
-            m,
-            args.s,
-            forbidden,
-            cap=_cap(oracle.DEFAULT_EDGE_CAP),
-            workers=args.workers,
+            m, args.s, forbidden, cap=_cap(oracle.DEFAULT_EDGE_CAP)
         ).optimum
         closed = extremal.mex_clique(m, args.s, args.r)
         ok = brute == closed
@@ -205,13 +201,7 @@ def _cmd_verify_zykov(args: argparse.Namespace) -> int:
     forbidden = constructions.complete_graph(args.r + 1)
     all_ok = True
     for n in range(max(args.r, args.t), args.n_max + 1):
-        res = oracle.brute_force_ex(
-            n,
-            args.t,
-            forbidden,
-            cap=_cap(oracle.DEFAULT_VERTEX_CAP),
-            workers=args.workers,
-        )
+        res = oracle.brute_force_ex(n, args.t, forbidden, cap=_cap(oracle.DEFAULT_VERTEX_CAP))
         closed = extremal.zykov_ex(n, args.t, args.r)
         unique = res.witness_count == 1 and res.witnesses[0] == oracle.canonical_graph(
             constructions.turan_graph(args.r, n)
@@ -334,11 +324,7 @@ def _emit_search(args: argparse.Namespace, res: oracle.SearchResult) -> None:
 
 def _cmd_search_mex(args: argparse.Namespace) -> int:
     res = oracle.brute_force_mex(
-        args.m,
-        args.s,
-        _forbidden_graph(args),
-        cap=_cap(oracle.DEFAULT_EDGE_CAP),
-        workers=args.workers,
+        args.m, args.s, _forbidden_graph(args), cap=_cap(oracle.DEFAULT_EDGE_CAP)
     )
     _emit_search(args, res)
     return EXIT_OK
@@ -346,11 +332,7 @@ def _cmd_search_mex(args: argparse.Namespace) -> int:
 
 def _cmd_search_ex(args: argparse.Namespace) -> int:
     res = oracle.brute_force_ex(
-        args.n,
-        args.t,
-        _forbidden_graph(args),
-        cap=_cap(oracle.DEFAULT_VERTEX_CAP),
-        workers=args.workers,
+        args.n, args.t, _forbidden_graph(args), cap=_cap(oracle.DEFAULT_VERTEX_CAP)
     )
     _emit_search(args, res)
     return EXIT_OK
@@ -550,14 +532,12 @@ def build_parser() -> argparse.ArgumentParser:
     vf.add_argument("--r", type=int, required=True)
     vf.add_argument("--s", type=int, required=True)
     vf.add_argument("--m-max", type=int, required=True, dest="m_max")
-    vf.add_argument("--workers", type=int, default=1)
     vf.set_defaults(handler=_cmd_verify_frohmader)
 
     vz = vsub.add_parser("zykov")
     vz.add_argument("--r", type=int, required=True)
     vz.add_argument("--t", type=int, required=True)
     vz.add_argument("--n-max", type=int, required=True, dest="n_max")
-    vz.add_argument("--workers", type=int, default=1)
     vz.set_defaults(handler=_cmd_verify_zykov)
 
     vs = vsub.add_parser("shadows")
@@ -662,7 +642,6 @@ def _add_forbid_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_search_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--timing", action="store_true")
     p.add_argument("--witnesses-dir", default=None, dest="witnesses_dir")
 

@@ -10,9 +10,7 @@ to override them deliberately.
 from __future__ import annotations
 
 import time
-import warnings
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations, product
 from math import comb
@@ -21,7 +19,6 @@ from typing import Iterator, Sequence
 from .graphs import (
     Graph,
     _bits,
-    _count_within,
     _has_within,
     _vertex_mask,
     contains_clique,
@@ -72,9 +69,12 @@ def _require_cap(value: int, cap: int | None, what: str) -> None:
 class SearchResult:
     """Outcome of an exhaustive search.
 
-    witnesses holds canonical representatives of the optimum graphs,
-    truncated at the configured limit; witness_count is the exact number
-    of isomorphism classes attaining the optimum.
+    witnesses holds canonical representatives of the optimum graphs in
+    canonical-form order, truncated at the configured limit;
+    witness_count is the exact number of isomorphism classes attaining
+    the optimum.  search_space_size counts the classes examined: every
+    graph with m edges for brute_force_mex, free or not, and the
+    forbidden-free graphs on n vertices for brute_force_ex.
     """
 
     optimum: int
@@ -330,7 +330,7 @@ def enumerate_graphs(
 def _clique_order(f: Graph) -> int | None:
     """k if f is the complete graph K_k, else None (enables fast freeness tests)."""
     k = f.vertex_count
-    if f.edge_count == comb(k, 2) and all(
+    if k and f.edge_count == comb(k, 2) and all(
         f.adjacency[v].bit_count() == k - 1 for v in f.vertices()
     ):
         return k
@@ -343,20 +343,26 @@ def _is_free(g: Graph, forbidden: Graph, forb_k: int | None) -> bool:
     return not contains_subgraph(g, forbidden)
 
 
-def _mex_chunk(payload: tuple) -> tuple[int, list[int], int]:
-    indexed, s, forbidden, forb_k = payload
+def _search_result(
+    candidates: list[Graph], s: int, space: int, witness_limit: int, start: float
+) -> SearchResult:
+    """Most s-cliques over free candidates given in canonical-form order, with attainers."""
     best = -1
-    attainers: list[int] = []
-    for i, g in indexed:
-        if not _is_free(g, forbidden, forb_k):
-            continue
+    attainers: list[Graph] = []
+    for g in candidates:
         val = count_cliques(g, s)
         if val > best:
             best = val
-            attainers = [i]
+            attainers = [g]
         elif val == best:
-            attainers.append(i)
-    return best, attainers, len(indexed)
+            attainers.append(g)
+    return SearchResult(
+        optimum=max(best, 0),
+        witnesses=tuple(attainers[:witness_limit]),
+        witness_count=len(attainers),
+        search_space_size=space,
+        elapsed=time.perf_counter() - start,
+    )
 
 
 def brute_force_mex(
@@ -366,67 +372,17 @@ def brute_force_mex(
     *,
     cap: int | None = DEFAULT_EDGE_CAP,
     witness_limit: int = DEFAULT_WITNESS_LIMIT,
-    workers: int = 1,
 ) -> SearchResult:
     """Exact maximum of the s-clique count over forbidden-free graphs with m edges."""
     if s < 1:
         raise ValueError("s must be at least 1")
     start = time.perf_counter()
+    # enumerate_graphs yields canonical representatives in canonical-form
+    # order, so the attainers come out in that order without relabeling
     graphs = list(enumerate_graphs(m, cap=cap))
     forb_k = _clique_order(forbidden)
-    chunks = _partition(list(enumerate(graphs)), workers)
-    results = _run_chunks(
-        _mex_chunk, [(chunk, s, forbidden, forb_k) for chunk in chunks], workers
-    )
-    best = max((b for b, _, _ in results), default=-1)
-    # enumerate_graphs yields canonical representatives in canonical-form
-    # order, so their indices order the attainers without relabeling them
-    indices = sorted(i for b, idx, _ in results if b == best for i in idx)
-    attainers = [graphs[i] for i in indices]
-    if best < 0:
-        best, attainers = 0, []
-    return SearchResult(
-        optimum=best,
-        witnesses=tuple(attainers[:witness_limit]),
-        witness_count=len(attainers),
-        search_space_size=len(graphs),
-        elapsed=time.perf_counter() - start,
-    )
-
-
-def _decode(code: int, n: int, pairs: list[tuple[int, int]]) -> list[int]:
-    """Adjacency list of the labeled graph whose edge set is bit-coded over pairs."""
-    adj = [0] * (n + 1)
-    while code:
-        low = code & -code
-        code ^= low
-        u, v = pairs[low.bit_length() - 1]
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-    return adj
-
-
-def _ex_chunk(payload: tuple) -> tuple[int, list[int], int]:
-    n, t, forbidden, forb_k, lo, hi, pairs = payload
-    full = _vertex_mask(n)
-    best = -1
-    attainers: list[int] = []
-    for code in range(lo, hi):
-        adj = _decode(code, n, pairs)
-        succ = [a & -(2 << v) for v, a in enumerate(adj)]
-        if forb_k is not None:
-            if forb_k <= n and _has_within(succ, full, forb_k):
-                continue
-        else:
-            if contains_subgraph(Graph(n, tuple(adj)), forbidden):
-                continue
-        val = code.bit_count() if t == 2 else _count_within(succ, full, t)
-        if val > best:
-            best = val
-            attainers = [code]
-        elif val == best:
-            attainers.append(code)
-    return best, attainers, hi - lo
+    free = [g for g in graphs if _is_free(g, forbidden, forb_k)]
+    return _search_result(free, s, len(graphs), witness_limit, start)
 
 
 def brute_force_ex(
@@ -436,12 +392,17 @@ def brute_force_ex(
     *,
     cap: int | None = DEFAULT_VERTEX_CAP,
     witness_limit: int = DEFAULT_WITNESS_LIMIT,
-    workers: int = 1,
 ) -> SearchResult:
     """Exact maximum of the t-clique count over forbidden-free graphs on n vertices.
 
-    Scans every edge subset of the complete graph on n labeled vertices;
-    witnesses are deduplicated by canonical form afterwards.
+    Builds the free graphs on k = 1..n vertices, one canonical
+    representative per isomorphism class, from the graph with no
+    vertices: level k gives each class of level k-1 a vertex k with every
+    neighbourhood in 1..k-1 and files the free results under
+    canonical_form.  Freeness survives vertex deletion, so every free
+    graph on k vertices grows from a free one on k-1 and the levels are
+    exact for every forbidden graph.  search_space_size counts the free
+    classes on n vertices.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -449,32 +410,25 @@ def brute_force_ex(
         raise ValueError("t must be at least 1")
     _require_cap(n, cap, "vertex count")
     start = time.perf_counter()
-    pairs = [(u, v) for v in range(2, n + 1) for u in range(1, v)]
-    total = 1 << len(pairs)
     forb_k = _clique_order(forbidden)
-    bounds = _range_blocks(total, workers)
-    results = _run_chunks(
-        _ex_chunk,
-        [(n, t, forbidden, forb_k, lo, hi, pairs) for lo, hi in bounds],
-        workers,
-    )
-    best = max(b for b, _, _ in results)
-    codes = [c for b, cs, _ in results if b == best for c in cs]
-    if best < 0:
-        return SearchResult(0, (), 0, total, time.perf_counter() - start)
-    witness_forms: dict[tuple, Graph] = {}
-    for code in codes:
-        form = canonical_form(Graph(n, tuple(_decode(code, n, pairs))))
-        if form not in witness_forms:
-            witness_forms[form] = _graph_from_items(form[0], form[1])
-    ordered = [witness_forms[f] for f in sorted(witness_forms)]
-    return SearchResult(
-        optimum=best,
-        witnesses=tuple(ordered[:witness_limit]),
-        witness_count=len(ordered),
-        search_space_size=total,
-        elapsed=time.perf_counter() - start,
-    )
+    level = [Graph(0, (0,))]
+    for k in range(1, n + 1):
+        grown: dict[tuple, Graph] = {}
+        for h in level:
+            succ = [a & -(2 << v) for v, a in enumerate(h.adjacency)]
+            for nbrs in range(0, 1 << k, 2):  # every subset of 1..k-1
+                # h is free, so a new K_q would contain k: a K_{q-1} in nbrs
+                if forb_k is not None and _has_within(succ, nbrs, forb_k - 1):
+                    continue
+                adj = [a | (nbrs >> v & 1) << k for v, a in enumerate(h.adjacency)]
+                g = Graph(k, (*adj, nbrs))
+                if forb_k is None and contains_subgraph(g, forbidden):
+                    continue
+                form = canonical_form(g)
+                if form not in grown:
+                    grown[form] = _graph_from_items(*form)
+        level = [grown[form] for form in sorted(grown)]
+    return _search_result(level, t, len(level), witness_limit, start)
 
 
 # ---------------------------------------------------------------------------
@@ -552,16 +506,16 @@ def min_edits_to_r_partite(
     Equals m minus the maximum number of edges captured between the
     classes of an r-part vertex partition; computed exactly by
     component-wise backtracking over canonical part assignments with
-    cost pruning.
+    cost pruning.  The cap bounds the largest component, where the
+    backtracking costs.
     """
     if r < 1:
         raise ValueError("r must be at least 1")
-    _require_cap(g.vertex_count, cap, "vertex count for exact partition mode")
-    total = 0
-    for verts in _component_vertex_lists(g):
-        if len(verts) > 1:
-            total += _component_min_edits(g, verts, r)
-    return total
+    comps = _component_vertex_lists(g)
+    _require_cap(
+        max(map(len, comps), default=0), cap, "component vertex count for exact partition mode"
+    )
+    return sum(_component_min_edits(g, verts, r) for verts in comps if len(verts) > 1)
 
 
 def _component_min_edits(g: Graph, verts: list[int], r: int) -> int:
@@ -643,37 +597,3 @@ def find_blowup(
 
     found = rec(0, _vertex_mask(g.vertex_count), parts)
     return (found is not None, tuple(found) if found is not None else None)
-
-
-# ---------------------------------------------------------------------------
-# deterministic worker partitioning
-# ---------------------------------------------------------------------------
-
-
-def _partition(items: list, workers: int) -> list[list]:
-    w = max(1, workers)
-    return [items[i::w] for i in range(w)] if w > 1 else [items]
-
-
-def _range_blocks(total: int, workers: int) -> list[tuple[int, int]]:
-    w = max(1, workers)
-    if w == 1 or total <= w:
-        return [(0, total)]
-    step = (total + w - 1) // w
-    return [(lo, min(lo + step, total)) for lo in range(0, total, step)]
-
-
-def _run_chunks(fn, payloads: list, workers: int) -> list:
-    """Evaluate chunks, in parallel when asked; merging stays associative."""
-    if max(1, workers) == 1 or len(payloads) <= 1:
-        return [fn(p) for p in payloads]
-    try:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, payloads))
-    except OSError as exc:
-        warnings.warn(
-            f"process pool unavailable ({exc!r}); running {len(payloads)} chunks serially",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-        return [fn(p) for p in payloads]

@@ -3,14 +3,17 @@
 Nothing here touches the package's counting, canonicalization, or
 enumeration machinery: clique counts run over raw vertex subsets,
 isomorphism is a permutation backtracking search, the graph enumerator
-walks colex-sorted first-use-labeled edge lists, partition edits scan
-every part assignment, and the edge deletion process recounts every edge
-at every step.  Slow on purpose; used at desk scale only.
+walks colex-sorted first-use-labeled edge lists, the ex search scans
+every labeled graph, partition edits scan every part assignment, and the
+edge deletion process recounts every edge at every step.  Slow on
+purpose; used at desk scale only.
 """
 
 from __future__ import annotations
 
-from itertools import combinations, product
+from functools import lru_cache
+from itertools import combinations, permutations, product
+from math import comb
 
 from mexkit.colex import colex_unrank, rpartite_valid
 from mexkit.graphs import Graph, graph_from_edges
@@ -200,6 +203,54 @@ def naive_nonisomorphic_graphs(m: int) -> list[Graph]:
 
     dfs([], 0)
     return out
+
+
+def naive_contains(g: Graph, f: Graph) -> bool:
+    """True iff some injective map of f's vertices into g's carries every edge of f onto one."""
+    if f.edge_count == comb(f.vertex_count, 2):
+        return f.vertex_count <= g.vertex_count and naive_count_cliques(g, f.vertex_count) > 0
+    edges = list(f.edges())
+    return any(
+        all(g.adjacency[image[u - 1]] >> image[v - 1] & 1 for u, v in edges)
+        for image in permutations(range(1, g.vertex_count + 1), f.vertex_count)
+    )
+
+
+@lru_cache(maxsize=None)
+def _naive_free_graphs(n: int, forbidden: Graph) -> tuple[Graph, ...]:
+    """Every forbidden-free graph on n labeled vertices, one per edge subset."""
+    pairs = list(combinations(range(1, n + 1), 2))
+    graphs = (
+        graph_from_edges([p for i, p in enumerate(pairs) if code >> i & 1], n)
+        for code in range(1 << len(pairs))
+    )
+    return tuple(g for g in graphs if not naive_contains(g, forbidden))
+
+
+def naive_brute_force_ex(n: int, t: int, forbidden: Graph) -> tuple[int, list[Graph]]:
+    """Most t-cliques over forbidden-free graphs on n vertices, and one attainer per class.
+
+    Scans every edge subset of the complete graph on 1..n labeled vertices
+    (the free ones are cached per (n, forbidden)) and groups the attainers
+    by the permutation isomorphism test.  Returns (0, []) when no graph is
+    free.
+    """
+    best = -1
+    attainers: list[Graph] = []
+    for g in _naive_free_graphs(n, forbidden):
+        val = naive_count_cliques(g, t)
+        if val > best:
+            best, attainers = val, [g]
+        elif val == best:
+            attainers.append(g)
+    buckets: dict[tuple[int, ...], list[Graph]] = {}
+    classes: list[Graph] = []
+    for g in attainers:
+        bucket = buckets.setdefault(tuple(sorted(m.bit_count() for m in g.adjacency)), [])
+        if not any(are_isomorphic(g, h) for h in bucket):
+            bucket.append(g)
+            classes.append(g)
+    return max(best, 0), classes
 
 
 def naive_min_edits(g: Graph, r: int) -> int:

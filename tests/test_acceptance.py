@@ -30,6 +30,7 @@ from mexkit.extremal import (
 )
 from mexkit.graphs import cliques_at_edge, count_cliques
 from mexkit.oracle import (
+    DEFAULT_VERTEX_CAP,
     brute_force_ex,
     brute_force_mex,
     brute_force_min_shadow,
@@ -94,7 +95,7 @@ def test_03_zykov_exhaustive():
     start = time.perf_counter()
     ok = True
     for t, r in ((2, 2), (2, 3), (3, 3)):
-        for n in range(max(r, t), 8):
+        for n in range(max(r, t), DEFAULT_VERTEX_CAP + 1):
             res = brute_force_ex(n, t, complete_graph(r + 1))
             ok &= res.optimum == zykov_ex(n, t, r)
             ok &= res.witness_count == 1

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -129,12 +133,19 @@ class TestExitCodes:
         assert code == 0
         assert json.loads(out)["value"] == 0
 
+    def test_cap_is_per_component(self, capsys, tmp_path):
+        path = tmp_path / "matching.edges"
+        path.write_text("".join(f"{2 * i - 1} {2 * i}\n" for i in range(1, 10)))
+        code, out, _ = run(capsys, "search", "min-edits", "--input", str(path), "--r", "2")
+        assert code == 0
+        assert json.loads(out) == {"r": 2, "n": 18, "m": 9, "value": 0}
+
     def test_verify_pass_is_zero(self, capsys):
         code, out, _ = run(capsys, "verify", "enumeration", "--m-max", "3")
         assert code == 0 and "ok" in out
 
     def test_verify_failure_is_one(self, capsys, monkeypatch):
-        def fake_mex(m, s, forbidden, cap=None, workers=1):
+        def fake_mex(m, s, forbidden, cap=None):
             return SearchResult(999, (), 0, 0, 0.0)
 
         monkeypatch.setattr(cli.oracle, "brute_force_mex", fake_mex)
@@ -155,17 +166,6 @@ class TestVerifySubcommands:
             "m=10 enumerated=4613 expected=4613 ok",
             "enumeration m<=10: ok",
         ]
-
-    def test_serial_fallback_keeps_stdout(self, capsys, monkeypatch):
-        def no_pool(*args, **kwargs):
-            raise OSError("no process pool here")
-
-        argv = ("verify", "zykov", "--r", "3", "--t", "3", "--n-max", "5")
-        _, serial, _ = run(capsys, *argv, "--workers", "1")
-        monkeypatch.setattr(cli.oracle, "ProcessPoolExecutor", no_pool)
-        with pytest.warns(RuntimeWarning, match="running 2 chunks serially"):
-            code, fallback, _ = run(capsys, *argv, "--workers", "2")
-        assert code == 0 and fallback == serial
 
     def test_zykov_small(self, capsys):
         code, out, _ = run(capsys, "verify", "zykov", "--r", "3", "--t", "3", "--n-max", "5")
@@ -339,3 +339,18 @@ class TestProcess:
         payload = json.loads(out)
         assert payload["epsilon_prime"] == pytest.approx(0.1 / 49)
         assert 0 < payload["rho"] < 1
+
+
+def test_import_leaves_process_machinery_unloaded():
+    # a cold `mexkit` process pays for every module it imports
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    probe = (
+        "import sys, mexkit.cli; "
+        "print(*[m for m in ('concurrent.futures', 'multiprocessing', 'subprocess') "
+        "if m in sys.modules])"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", probe], capture_output=True, text=True, check=True, env=env
+    )
+    assert proc.stdout.split() == []

@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -10,7 +9,7 @@ from mexkit.constructions import (
     turan_graph,
 )
 from mexkit.extremal import mex_clique, zykov_ex
-from mexkit.graphs import contains_subgraph, count_cliques, graph_from_edges
+from mexkit.graphs import Graph, contains_subgraph, count_cliques, graph_from_edges
 from mexkit.oracle import (
     CapExceededError,
     brute_force_ex,
@@ -24,8 +23,15 @@ from mexkit.oracle import (
 )
 
 from corpus import labeling_hard_graphs, named_small_graphs
-from oracles import are_isomorphic, naive_min_edits, naive_nonisomorphic_graphs
+from oracles import (
+    are_isomorphic,
+    naive_brute_force_ex,
+    naive_min_edits,
+    naive_nonisomorphic_graphs,
+)
 
+P3 = graph_from_edges([(1, 2), (2, 3)])
+C4 = graph_from_edges([(1, 2), (2, 3), (3, 4), (1, 4)])
 C5 = graph_from_edges([(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)])
 
 
@@ -154,25 +160,16 @@ class TestBruteForceMex:
             assert count_cliques(w, 3) == res.optimum
             assert not contains_subgraph(w, forbidden)
 
-    def test_workers_agree(self):
-        seq = brute_force_mex(6, 3, complete_graph(4), workers=1)
-        par = brute_force_mex(6, 3, complete_graph(4), workers=2)
-        assert seq.optimum == par.optimum
-        assert seq.witness_count == par.witness_count
-        assert seq.witnesses == par.witnesses
-
     def test_witnesses_in_canonical_form_order(self):
-        # every triangle-free graph attains s = 2 (m edges), so the attainers
-        # interleave across the worker chunks
+        # every triangle-free graph attains s = 2 (m edges)
         tri = complete_graph(3)
         expected = sorted(
             (g for g in enumerate_graphs(6) if not contains_subgraph(g, tri)),
             key=canonical_form,
         )
-        for workers in (1, 3):
-            res = brute_force_mex(6, 2, tri, witness_limit=len(expected), workers=workers)
-            assert res.witness_count == len(expected) > 16
-            assert list(res.witnesses) == expected
+        res = brute_force_mex(6, 2, tri, witness_limit=len(expected))
+        assert res.witness_count == len(expected) > 16
+        assert list(res.witnesses) == expected
 
     @pytest.mark.parametrize("m", [9, 10])
     def test_matches_closed_form_at_the_edge_cap(self, m):
@@ -199,7 +196,43 @@ class TestBruteForceEx:
             assert brute_force_ex(n, 3, complete_graph(4)).optimum == zykov_ex(n, 3, 3)
 
     def test_search_space_size(self):
-        assert brute_force_ex(4, 2, complete_graph(3)).search_space_size == 2**6
+        # F-free classes on n vertices: OEIS A006785 for triangle-free graphs;
+        # K_9 forbids nothing on 8 vertices, so that is every graph (A000088)
+        triangle_free = [1, 2, 3, 7, 14, 38, 107, 410]
+        k4_free = [1, 2, 4, 10, 29, 120, 685]
+        for n, want in enumerate(triangle_free, start=1):
+            assert brute_force_ex(n, 2, complete_graph(3)).search_space_size == want
+        for n, want in enumerate(k4_free, start=1):
+            assert brute_force_ex(n, 2, complete_graph(4)).search_space_size == want
+        assert brute_force_ex(8, 2, complete_graph(9)).search_space_size == 12346
+
+    def test_nothing_is_free_of_k1_or_the_empty_graph(self):
+        for forbidden in (complete_graph(1), Graph(0, (0,))):
+            res = brute_force_ex(3, 1, forbidden)
+            assert (res.optimum, res.witnesses, res.witness_count) == (0, (), 0)
+            assert res.search_space_size == 0
+        res = brute_force_mex(3, 2, Graph(0, (0,)))
+        assert (res.optimum, res.witness_count, res.search_space_size) == (0, 0, 5)
+
+    @pytest.mark.parametrize(
+        "forbidden, n_max",
+        [(complete_graph(k), 6) for k in range(1, 5)] + [(C4, 5), (P3, 5)],
+        ids=["K1", "K2", "K3", "K4", "C4", "P3"],
+    )
+    def test_matches_labeled_scan(self, forbidden, n_max):
+        for n in range(1, n_max + 1):
+            for t in range(1, 5):
+                res = brute_force_ex(n, t, forbidden, witness_limit=10**6)
+                best, classes = naive_brute_force_ex(n, t, forbidden)
+                assert (res.optimum, res.witness_count) == (best, len(classes)), (n, t)
+                # one-to-one: each witness matches one class, each class one witness
+                hits = [
+                    [i for i, h in enumerate(classes) if are_isomorphic(w, h)]
+                    for w in res.witnesses
+                ]
+                assert sorted(hits) == [[i] for i in range(len(classes))], (n, t)
+                forms = [canonical_form(w) for w in res.witnesses]
+                assert forms == sorted(forms), (n, t)
 
     def test_cap(self):
         with pytest.raises(CapExceededError):
@@ -208,32 +241,10 @@ class TestBruteForceEx:
     def test_general_forbidden_graph(self):
         # forbidding the 4-cycle on 4 vertices: 5 edges force the diamond,
         # which contains a 4-cycle, so the optimum is 4 (the paw)
-        c4 = graph_from_edges([(1, 2), (2, 3), (3, 4), (1, 4)])
-        res = brute_force_ex(4, 2, c4)
+        res = brute_force_ex(4, 2, C4)
         assert res.optimum == 4
         paw = graph_from_edges([(1, 2), (1, 3), (2, 3), (3, 4)])
         assert res.witnesses[0] == canonical_graph(paw)
-
-    def test_workers_agree(self):
-        seq = brute_force_ex(5, 3, complete_graph(4), workers=1)
-        par = brute_force_ex(5, 3, complete_graph(4), workers=3)
-        assert (seq.optimum, seq.witness_count) == (par.optimum, par.witness_count)
-        assert seq.witnesses == par.witnesses
-
-
-class TestSerialFallback:
-    def test_pool_failure_warns_and_matches_serial(self, monkeypatch):
-        import mexkit.oracle as oracle
-
-        def no_pool(*args, **kwargs):
-            raise OSError("no process pool here")
-
-        monkeypatch.setattr(oracle, "ProcessPoolExecutor", no_pool)
-        for search, size in ((brute_force_mex, 6), (brute_force_ex, 5)):
-            seq = search(size, 3, complete_graph(4), workers=1)
-            with pytest.warns(RuntimeWarning, match="no process pool here"):
-                par = search(size, 3, complete_graph(4), workers=2)
-            assert par == replace(seq, elapsed=par.elapsed)
 
 
 class TestBruteForceMinShadow:
@@ -283,6 +294,11 @@ class TestMinEdits:
             min_edits_to_r_partite(big, 2)
         assert min_edits_to_r_partite(big, 2, cap=None) == 0
 
+    def test_cap_applies_per_component(self):
+        matching = graph_from_edges([(2 * i - 1, 2 * i) for i in range(1, 10)])
+        assert matching.vertex_count == 18
+        assert min_edits_to_r_partite(matching, 2) == 0
+
 
 class TestFindBlowup:
     def test_blowup_is_its_own_witness(self):
@@ -319,11 +335,10 @@ class TestFindBlowup:
     def test_agrees_with_containment_oracle(self):
         # a 2-part blowup of size 2 is the 4-cycle; a 3-part size-1 blowup
         # is the triangle
-        c4 = graph_from_edges([(1, 2), (2, 3), (3, 4), (1, 4)])
         tri = graph_from_edges([(1, 2), (1, 3), (2, 3)])
         for m in range(1, 7):
             for g in enumerate_graphs(m):
-                assert find_blowup(g, 2, 2)[0] == contains_subgraph(g, c4)
+                assert find_blowup(g, 2, 2)[0] == contains_subgraph(g, C4)
                 assert find_blowup(g, 3, 1)[0] == contains_subgraph(g, tri)
 
 
