@@ -19,6 +19,7 @@ from typing import Iterator, Sequence
 from .graphs import (
     Graph,
     _bits,
+    _colex_edges,
     _has_within,
     _vertex_mask,
     contains_clique,
@@ -89,11 +90,11 @@ class SearchResult:
 # ---------------------------------------------------------------------------
 
 
-def _component_vertex_lists(g: Graph) -> list[list[int]]:
+def _component_vertex_lists(adjacency: Sequence[int]) -> list[list[int]]:
     """Connected components (isolated vertices as singletons), by smallest label."""
     seen = 0
     comps = []
-    for v in g.vertices():
+    for v in range(1, len(adjacency)):
         if seen >> v & 1:
             continue
         frontier = 1 << v
@@ -102,7 +103,7 @@ def _component_vertex_lists(g: Graph) -> list[list[int]]:
             comp |= frontier
             nxt = 0
             for u in _bits(frontier):
-                nxt |= g.adjacency[u]
+                nxt |= adjacency[u]
             frontier = nxt & ~comp
         comps.append(list(_bits(comp)))
         seen |= comp
@@ -202,10 +203,15 @@ def canonical_form(g: Graph) -> tuple:
     _component_bits; two graphs get equal keys exactly when they are
     isomorphic, and _graph_from_items rebuilds the representative.
     """
+    return _form(g.adjacency)
+
+
+def _form(adjacency: Sequence[int]) -> tuple:
+    """canonical_form of the graph with this padded adjacency, no Graph needed."""
     items = sorted(
-        (len(vs), _component_bits(g.adjacency, vs)) for vs in _component_vertex_lists(g)
+        (len(vs), _component_bits(adjacency, vs)) for vs in _component_vertex_lists(adjacency)
     )
-    return (g.vertex_count, tuple(items))
+    return (len(adjacency) - 1, tuple(items))
 
 
 def _graph_from_items(n: int, items: tuple[tuple[int, tuple[int, ...]], ...]) -> Graph:
@@ -246,9 +252,12 @@ def _connected_upto(m: int) -> list[list[tuple[tuple[int, tuple[int, ...]], Grap
     """Connected graphs with up to m edges, one canonical representative each.
 
     Level j is grown from level j-1 by adding either an edge between two
-    existing vertices or a pendant edge to a fresh vertex; every
-    connected graph arises this way (delete a non-bridge edge, or a leaf
-    edge of a tree).
+    existing vertices or a pendant edge to a fresh vertex, and a child is
+    kept only when the added edge is a deletable edge of least key
+    (_least_deletable).  This is exact: every connected graph with at
+    least 2 edges has a deletable edge of least key, and deleting it (with
+    its leaf, if pendant) leaves a connected class of level j-1, to which
+    adding the edge back is one of the moves.
     """
     while len(_CONNECTED_LEVELS) <= m:
         seen: dict[tuple, tuple[tuple[int, tuple[int, ...]], Graph]] = {}
@@ -260,17 +269,50 @@ def _connected_upto(m: int) -> list[list[tuple[tuple[int, tuple[int, ...]], Grap
                     if not adj[u] >> v & 1:
                         adj[u] ^= 1 << v
                         adj[v] ^= 1 << u
-                        _record_connected(seen, adj, n)
+                        if _least_deletable(adj, u, v):
+                            _record_connected(seen, adj, n)
                         adj[u] ^= 1 << v
                         adj[v] ^= 1 << u
             adj.append(0)
             for u in range(1, n + 1):
                 adj[u] ^= 1 << n + 1
                 adj[n + 1] = 1 << u
-                _record_connected(seen, adj, n + 1)
+                if _least_deletable(adj, u, n + 1):
+                    _record_connected(seen, adj, n + 1)
                 adj[u] ^= 1 << n + 1
         _CONNECTED_LEVELS.append(sorted(seen.values(), key=lambda iv: iv[0]))
     return _CONNECTED_LEVELS
+
+
+def _least_deletable(adj: Sequence[int], u: int, v: int) -> bool:
+    """True iff no deletable edge of the connected graph adj has a smaller key than uv.
+
+    An edge is deletable when it is pendant or not a bridge, so deleting
+    it (with its leaf, if pendant) leaves the graph connected.  Its key is
+    the sorted pair of its endpoint degrees; ties are kept.
+    """
+    deg = [a.bit_count() for a in adj]
+    key = (deg[u], deg[v]) if deg[u] <= deg[v] else (deg[v], deg[u])
+    for a, b in _colex_edges(adj):
+        k = (deg[a], deg[b]) if deg[a] <= deg[b] else (deg[b], deg[a])
+        if k < key and (k[0] == 1 or not _is_bridge(adj, a, b)):
+            return False
+    return True
+
+
+def _is_bridge(adj: Sequence[int], a: int, b: int) -> bool:
+    """True iff b cannot be reached from a without the edge ab."""
+    reach = 1 << a
+    frontier = adj[a] ^ 1 << b
+    while frontier:
+        if frontier >> b & 1:
+            return False
+        reach |= frontier
+        nxt = 0
+        for w in _bits(frontier):
+            nxt |= adj[w]
+        frontier = nxt & ~reach
+    return True
 
 
 def _record_connected(seen: dict, adj: list[int], n: int) -> None:
@@ -395,14 +437,18 @@ def brute_force_ex(
 ) -> SearchResult:
     """Exact maximum of the t-clique count over forbidden-free graphs on n vertices.
 
-    Builds the free graphs on k = 1..n vertices, one canonical
-    representative per isomorphism class, from the graph with no
-    vertices: level k gives each class of level k-1 a vertex k with every
-    neighbourhood in 1..k-1 and files the free results under
-    canonical_form.  Freeness survives vertex deletion, so every free
-    graph on k vertices grows from a free one on k-1 and the levels are
-    exact for every forbidden graph.  search_space_size counts the free
-    classes on n vertices.
+    Runs over the free graphs on n vertices, one canonical representative
+    per isomorphism class, built level by level from the graph with no
+    vertices.  Level k gives each class h of level k-1 a vertex k whose
+    neighbourhood N in 1..k-1 leaves k of least degree: with δ the least
+    degree of h, |N| <= δ+1, and N holds every vertex of degree δ when
+    |N| = δ+1.  The free children are filed under their canonical form.
+    This is exact for every forbidden graph: deleting a least-degree
+    vertex of a free graph leaves a free class of level k-1 (freeness
+    survives vertex deletion), and adding that vertex back is one of the
+    children.  The levels are kept across calls, keyed by the canonical
+    form of the forbidden graph, so a call only extends them up to n.
+    search_space_size counts the free classes on n vertices.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -410,25 +456,48 @@ def brute_force_ex(
         raise ValueError("t must be at least 1")
     _require_cap(n, cap, "vertex count")
     start = time.perf_counter()
+    level = _free_upto(n, forbidden)[n]
+    return _search_result(level, t, len(level), witness_limit, start)
+
+
+# levels[k] = free graphs on k vertices, one canonical representative per
+# class in canonical-form order, keyed by canonical_form of the forbidden graph;
+# they pay off only when one process asks for the same forbidden graph again,
+# as `verify zykov` does for each n in turn
+_FREE_LEVELS: dict[tuple, list[list[Graph]]] = {}
+
+
+def _free_upto(n: int, forbidden: Graph) -> list[list[Graph]]:
+    """The free levels 0..n of brute_force_ex, extended in place in _FREE_LEVELS.
+
+    The 0-vertex seed is not tested for freeness; brute_force_ex reads
+    only the levels n >= 1.
+    """
+    levels = _FREE_LEVELS.setdefault(canonical_form(forbidden), [[Graph(0, (0,))]])
     forb_k = _clique_order(forbidden)
-    level = [Graph(0, (0,))]
-    for k in range(1, n + 1):
+    while len(levels) <= n:
+        k = len(levels)
         grown: dict[tuple, Graph] = {}
-        for h in level:
+        for h in levels[-1]:
+            deg = [a.bit_count() for a in h.adjacency]
+            low = min(deg[1:], default=0)
+            lows = sum(1 << v for v in h.vertices() if deg[v] == low)
             succ = [a & -(2 << v) for v, a in enumerate(h.adjacency)]
             for nbrs in range(0, 1 << k, 2):  # every subset of 1..k-1
+                d = nbrs.bit_count()
+                if d > low + 1 or d == low + 1 and nbrs & lows != lows:
+                    continue
                 # h is free, so a new K_q would contain k: a K_{q-1} in nbrs
                 if forb_k is not None and _has_within(succ, nbrs, forb_k - 1):
                     continue
-                adj = [a | (nbrs >> v & 1) << k for v, a in enumerate(h.adjacency)]
-                g = Graph(k, (*adj, nbrs))
-                if forb_k is None and contains_subgraph(g, forbidden):
+                adj = (*(a | (nbrs >> v & 1) << k for v, a in enumerate(h.adjacency)), nbrs)
+                if forb_k is None and contains_subgraph(Graph(k, adj), forbidden):
                     continue
-                form = canonical_form(g)
+                form = _form(adj)
                 if form not in grown:
                     grown[form] = _graph_from_items(*form)
-        level = [grown[form] for form in sorted(grown)]
-    return _search_result(level, t, len(level), witness_limit, start)
+        levels.append([grown[form] for form in sorted(grown)])
+    return levels
 
 
 # ---------------------------------------------------------------------------
@@ -511,7 +580,7 @@ def min_edits_to_r_partite(
     """
     if r < 1:
         raise ValueError("r must be at least 1")
-    comps = _component_vertex_lists(g)
+    comps = _component_vertex_lists(g.adjacency)
     _require_cap(
         max(map(len, comps), default=0), cap, "component vertex count for exact partition mode"
     )

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from mexkit import oracle
 from mexkit.constructions import (
     blowup,
     colex_turan_graph,
@@ -33,6 +34,9 @@ from oracles import (
 P3 = graph_from_edges([(1, 2), (2, 3)])
 C4 = graph_from_edges([(1, 2), (2, 3), (3, 4), (1, 4)])
 C5 = graph_from_edges([(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)])
+K13 = graph_from_edges([(1, 2), (1, 3), (1, 4)])
+TWO_K2 = graph_from_edges([(1, 2), (3, 4)])
+K2_K1 = graph_from_edges([(1, 2)], explicit_vertex_count=3)
 
 
 class TestCanonicalForm:
@@ -71,6 +75,19 @@ class TestCanonicalForm:
             assert canonical_graph(c) == c
             for _ in range(5):
                 assert canonical_form(_shuffled(g, rng)) == form
+
+
+def _connected(edges):
+    """True iff the edges form one connected graph on the vertices they touch."""
+    reached = {edges[0][0]}
+    grew = True
+    while grew:
+        grew = False
+        for u, v in edges:
+            if (u in reached) != (v in reached):
+                reached |= {u, v}
+                grew = True
+    return reached == {w for e in edges for w in e}
 
 
 def _shuffled(g, rng):
@@ -127,6 +144,40 @@ class TestEnumeration:
         capped = sum(1 for _ in enumerate_graphs(4, n_max=5))
         assert capped < total
         assert all(g.vertex_count <= 5 for g in enumerate_graphs(4, n_max=5))
+
+    def test_connected_levels_match_oeis(self):
+        # connected graphs with m = 1..10 edges, OEIS A002905
+        want = [1, 1, 3, 5, 12, 30, 79, 227, 710, 2322]
+        assert [len(level) for level in oracle._connected_upto(10)[1:11]] == want
+
+    def test_least_deletable_edge_leaves_a_connected_parent(self):
+        # two diamonds joined through their degree-2 vertices by a 3-edge
+        # path: the middle path edge alone has the least key (2, 2), but it
+        # is a bridge; at 13 edges this is past the levels built above
+        diamond = [(1, 2), (1, 3), (2, 3), (2, 4), (3, 4)]
+        dumbbell = graph_from_edges(
+            diamond + [(u + 6, v + 6) for u, v in diamond] + [(4, 5), (5, 6), (6, 7)]
+        )
+
+        def deletable(g, u, v):
+            # g minus uv is connected, and only a leaf endpoint drops out
+            rest = [e for e in g.edges() if e != (u, v)]
+            pendant = min(g.degree(u), g.degree(v)) == 1
+            return _connected(rest) and len({w for e in rest for w in e}) == (
+                g.vertex_count - pendant
+            )
+
+        graphs = [dumbbell, C5, *named_small_graphs(), *labeling_hard_graphs()]
+        for g in graphs:
+            if g.edge_count < 2 or not _connected(list(g.edges())):
+                continue
+            assert any(
+                deletable(g, *e) and oracle._least_deletable(g.adjacency, *e)
+                for e in g.edges()
+            ), g
+        # ties are kept: every edge of an edge-transitive graph qualifies
+        for g in (C5, complete_graph(4), K13, turan_graph(2, 6)):
+            assert all(oracle._least_deletable(g.adjacency, *e) for e in g.edges())
 
     def test_cap_and_validation(self):
         with pytest.raises(CapExceededError):
@@ -199,7 +250,7 @@ class TestBruteForceEx:
         # F-free classes on n vertices: OEIS A006785 for triangle-free graphs;
         # K_9 forbids nothing on 8 vertices, so that is every graph (A000088)
         triangle_free = [1, 2, 3, 7, 14, 38, 107, 410]
-        k4_free = [1, 2, 4, 10, 29, 120, 685]
+        k4_free = [1, 2, 4, 10, 29, 120, 685, 6431]
         for n, want in enumerate(triangle_free, start=1):
             assert brute_force_ex(n, 2, complete_graph(3)).search_space_size == want
         for n, want in enumerate(k4_free, start=1):
@@ -216,8 +267,9 @@ class TestBruteForceEx:
 
     @pytest.mark.parametrize(
         "forbidden, n_max",
-        [(complete_graph(k), 6) for k in range(1, 5)] + [(C4, 5), (P3, 5)],
-        ids=["K1", "K2", "K3", "K4", "C4", "P3"],
+        [(complete_graph(k), 6) for k in range(1, 5)]
+        + [(C4, 5), (P3, 5), (K13, 5), (TWO_K2, 5), (K2_K1, 5)],
+        ids=["K1", "K2", "K3", "K4", "C4", "P3", "K13", "2K2", "K2+K1"],
     )
     def test_matches_labeled_scan(self, forbidden, n_max):
         for n in range(1, n_max + 1):
@@ -237,6 +289,26 @@ class TestBruteForceEx:
     def test_cap(self):
         with pytest.raises(CapExceededError):
             brute_force_ex(9, 2, complete_graph(3))
+
+    def test_warm_levels_give_cold_results(self, monkeypatch):
+        # the levels are kept across calls; a warm call must return what a
+        # call on empty levels returns, for every forbidden graph, including
+        # different ones on the same number of vertices
+        def fields(res):
+            return (res.optimum, res.witnesses, res.witness_count, res.search_space_size)
+
+        calls = [(n, 3, complete_graph(4)) for n in (7, 4, 5, 6)]
+        calls += [
+            (n, t, f) for n in range(2, 7) for f in (complete_graph(4), C4, K13) for t in (1, 2)
+        ]
+        cold = []
+        for n, t, f in calls:
+            monkeypatch.setattr(oracle, "_FREE_LEVELS", {})
+            cold.append(fields(brute_force_ex(n, t, f)))
+        monkeypatch.setattr(oracle, "_FREE_LEVELS", {})
+        warm = [fields(brute_force_ex(n, t, f)) for n, t, f in calls]
+        assert warm == cold
+        assert len(oracle._FREE_LEVELS) == 3
 
     def test_general_forbidden_graph(self):
         # forbidding the 4-cycle on 4 vertices: 5 edges force the diamond,
