@@ -183,12 +183,12 @@ def _verdict(ok: bool) -> str:
 
 
 def _cmd_verify_frohmader(args: argparse.Namespace) -> int:
+    cap = _cap(oracle.DEFAULT_EDGE_CAP)
+    oracle._require_cap(args.m_max, cap, "edge count")  # before printing any line
     forbidden = constructions.complete_graph(args.r + 1)
     all_ok = True
     for m in range(1, args.m_max + 1):
-        brute = oracle.brute_force_mex(
-            m, args.s, forbidden, cap=_cap(oracle.DEFAULT_EDGE_CAP)
-        ).optimum
+        brute = oracle.brute_force_mex(m, args.s, forbidden, cap=cap).optimum
         closed = extremal.mex_clique(m, args.s, args.r)
         ok = brute == closed
         all_ok &= ok
@@ -198,10 +198,12 @@ def _cmd_verify_frohmader(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify_zykov(args: argparse.Namespace) -> int:
+    cap = _cap(oracle.DEFAULT_VERTEX_CAP)
+    oracle._require_cap(args.n_max, cap, "vertex count")  # before printing any line
     forbidden = constructions.complete_graph(args.r + 1)
     all_ok = True
     for n in range(max(args.r, args.t), args.n_max + 1):
-        res = oracle.brute_force_ex(n, args.t, forbidden, cap=_cap(oracle.DEFAULT_VERTEX_CAP))
+        res = oracle.brute_force_ex(n, args.t, forbidden, cap=cap)
         closed = extremal.zykov_ex(n, args.t, args.r)
         unique = res.witness_count == 1 and res.witnesses[0] == oracle.canonical_graph(
             constructions.turan_graph(args.r, n)

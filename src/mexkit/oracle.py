@@ -73,8 +73,9 @@ class SearchResult:
     witnesses holds canonical representatives of the optimum graphs in
     canonical-form order, truncated at the configured limit;
     witness_count is the exact number of isomorphism classes attaining
-    the optimum.  search_space_size counts the classes examined: every
-    graph with m edges for brute_force_mex, free or not, and the
+    the optimum.  search_space_size counts the classes searched over:
+    every graph with m edges for brute_force_mex, free or not (counted,
+    not listed, when the forbidden graph is connected), and the
     forbidden-free graphs on n vertices for brute_force_ex.
     """
 
@@ -415,9 +416,83 @@ def brute_force_mex(
     cap: int | None = DEFAULT_EDGE_CAP,
     witness_limit: int = DEFAULT_WITNESS_LIMIT,
 ) -> SearchResult:
-    """Exact maximum of the s-clique count over forbidden-free graphs with m edges."""
+    """Exact maximum of the s-clique count over forbidden-free graphs with m edges.
+
+    When the forbidden graph F has at most one component, a graph is
+    F-free exactly when each of its components is, and its edges and
+    s-cliques (K_s is connected) are the sums over its components.  The
+    search is then a knapsack over the connected classes with up to m
+    edges: each class is scored once, and one table holds, for every
+    e <= m, the most s-cliques over multisets of free classes with e
+    edges, how many multisets reach it, and how many multisets of any
+    classes have e edges (search_space_size).  Every part of an optimal
+    multiset is optimal for its own edge count, so the attainers are
+    walked through the table alone and only the first witness_limit are
+    built.  A forbidden graph with two or more components (2K_2,
+    K_2 plus an isolated vertex, ...) can be contained in a graph with
+    free components, so it is decided by enumerate-and-filter instead.
+    """
     if s < 1:
         raise ValueError("s must be at least 1")
+    if len(_component_vertex_lists(forbidden.adjacency)) > 1:
+        return _mex_by_enumeration(m, s, forbidden, cap, witness_limit)
+    if m < 1:
+        raise ValueError("m must be at least 1")
+    _require_cap(m, cap, "edge count")
+    start = time.perf_counter()
+    levels = _connected_upto(m)
+    forb_k = _clique_order(forbidden)
+    types = [(j, item, g) for j in range(m, 0, -1) for item, g in levels[j]]
+    # best[e] is -1 while no free multiset has e edges
+    best, ways, total = [0] + [-1] * m, [1] + [0] * m, [1] + [0] * m
+    # (edge count, s-cliques) -> indices into types of the free classes scoring so
+    by_score: dict[tuple[int, int], list[int]] = {}
+    for i, (j, _, g) in enumerate(types):
+        free = _is_free(g, forbidden, forb_k)
+        if free:
+            score = count_cliques(g, s)
+            by_score.setdefault((j, score), []).append(i)
+        for e in range(j, m + 1):  # ascending e: each class may repeat
+            total[e] += total[e - j]
+            if free and best[e - j] >= 0:
+                value = best[e - j] + score
+                if value > best[e]:
+                    best[e], ways[e] = value, ways[e - j]
+                elif value == best[e]:
+                    ways[e] += ways[e - j]
+
+    keys: list[tuple[int, tuple]] = []
+
+    def walk(first: int, e: int, chosen: list[int]) -> None:
+        # chosen holds nondecreasing indices, so each multiset is met once
+        if e == 0:
+            items = tuple(sorted(types[i][1] for i in chosen))
+            keys.append((sum(size for size, _ in items), items))
+            return
+        for j in range(1, e + 1):
+            if best[e - j] >= 0:
+                for i in by_score.get((j, best[e] - best[e - j]), ()):
+                    if i >= first:
+                        chosen.append(i)
+                        walk(i, e - j, chosen)
+                        chosen.pop()
+
+    if best[m] >= 0:
+        walk(0, m, [])
+    keys.sort()
+    return SearchResult(
+        optimum=max(best[m], 0),
+        witnesses=tuple(_graph_from_items(n, items) for n, items in keys[:witness_limit]),
+        witness_count=ways[m],
+        search_space_size=total[m],
+        elapsed=time.perf_counter() - start,
+    )
+
+
+def _mex_by_enumeration(
+    m: int, s: int, forbidden: Graph, cap: int | None, witness_limit: int
+) -> SearchResult:
+    """brute_force_mex by scanning every graph with m edges; right for every forbidden graph."""
     start = time.perf_counter()
     # enumerate_graphs yields canonical representatives in canonical-form
     # order, so the attainers come out in that order without relabeling

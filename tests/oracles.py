@@ -3,9 +3,10 @@
 Nothing here touches the package's counting, canonicalization, or
 enumeration machinery: clique counts run over raw vertex subsets,
 isomorphism is a permutation backtracking search, the graph enumerator
-walks colex-sorted first-use-labeled edge lists, the ex search scans
-every labeled graph, partition edits scan every part assignment, and the
-edge deletion process recounts every edge at every step.  Slow on
+walks colex-sorted first-use-labeled edge lists (and the mex search
+scans what it lists), the ex search scans every labeled graph, partition
+edits scan every part assignment, and the edge deletion process
+recounts every edge at every step.  Slow on
 purpose; used at desk scale only.
 """
 
@@ -251,6 +252,31 @@ def naive_brute_force_ex(n: int, t: int, forbidden: Graph) -> tuple[int, list[Gr
             bucket.append(g)
             classes.append(g)
     return max(best, 0), classes
+
+
+@lru_cache(maxsize=None)
+def _naive_classes(m: int) -> tuple[Graph, ...]:
+    return tuple(naive_nonisomorphic_graphs(m))
+
+
+@lru_cache(maxsize=None)
+def _naive_free_classes(m: int, forbidden: Graph) -> tuple[tuple[Graph, ...], int]:
+    """The forbidden-free classes with m edges, and the number of all classes."""
+    graphs = _naive_classes(m)
+    return tuple(g for g in graphs if not naive_contains(g, forbidden)), len(graphs)
+
+
+def naive_brute_force_mex(m: int, s: int, forbidden: Graph) -> tuple[int, list[Graph], int]:
+    """Most s-cliques over forbidden-free graphs with m edges, its attainers, and the space.
+
+    Scans naive_nonisomorphic_graphs(m), which lists one graph per class,
+    so the attainers need no grouping; space counts every class with m
+    edges.  Returns (0, [], space) when no graph is free.
+    """
+    free, space = _naive_free_classes(m, forbidden)
+    counts = [naive_count_cliques(g, s) for g in free]
+    best = max(counts, default=0)
+    return best, [g for g, c in zip(free, counts) if c == best], space
 
 
 def naive_min_edits(g: Graph, r: int) -> int:

@@ -30,6 +30,7 @@ from mexkit.extremal import (
 )
 from mexkit.graphs import cliques_at_edge, count_cliques
 from mexkit.oracle import (
+    DEFAULT_EDGE_CAP,
     DEFAULT_VERTEX_CAP,
     brute_force_ex,
     brute_force_mex,
@@ -83,10 +84,10 @@ def test_01_figure_reproduction():
 def test_02_frohmader_exhaustive():
     start = time.perf_counter()
     ok = True
-    for m in range(1, 9):
+    for m in range(1, DEFAULT_EDGE_CAP + 1):
         ok &= brute_force_mex(m, 3, complete_graph(4)).optimum == mex_clique(m, 3, 3)
     for s, r in ((3, 4), (4, 4)):
-        for m in range(1, 9):
+        for m in range(1, DEFAULT_EDGE_CAP + 1):
             ok &= brute_force_mex(m, s, complete_graph(5)).optimum == mex_clique(m, s, r)
     _report("02 frohmader exhaustive", ok, time.perf_counter() - start, 600.0)
 

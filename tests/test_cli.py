@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from mexkit import cli
+from mexkit import cli, oracle
 from mexkit.graphs import graph_from_edges, format_edge_list, parse_edge_list
 from mexkit.oracle import SearchResult
 
@@ -140,6 +140,30 @@ class TestExitCodes:
         assert code == 0
         assert json.loads(out) == {"r": 2, "n": 18, "m": 9, "value": 0}
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("verify", "frohmader", "--r", "3", "--s", "3", "--m-max", "11"),
+            ("verify", "zykov", "--r", "3", "--t", "3", "--n-max", "9"),
+        ],
+        ids=["frohmader", "zykov"],
+    )
+    def test_verify_past_the_cap_fails_before_any_search(self, capsys, monkeypatch, argv):
+        def no_search(*args, **kwargs):
+            raise AssertionError("searched past the cap")
+
+        monkeypatch.setattr(cli.oracle, "brute_force_mex", no_search)
+        monkeypatch.setattr(cli.oracle, "brute_force_ex", no_search)
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert "exceeds the safety cap" in err
+
+    def test_verify_cap_override_env(self, capsys, monkeypatch):
+        monkeypatch.setenv("MEXKIT_CAP_OVERRIDE", "1")
+        monkeypatch.setattr(oracle, "DEFAULT_EDGE_CAP", 2)
+        code, out, _ = run(capsys, "verify", "frohmader", "--r", "3", "--s", "3", "--m-max", "4")
+        assert code == 0 and out.count("ok") == 5
+
     def test_verify_pass_is_zero(self, capsys):
         code, out, _ = run(capsys, "verify", "enumeration", "--m-max", "3")
         assert code == 0 and "ok" in out
@@ -227,6 +251,48 @@ class TestSearch:
         for f in files:
             g = parse_edge_list(f.read_text())
             assert g.edge_count == 3
+
+    def test_mex_pinned_bytes(self, capsys, tmp_path):
+        # 45 triangle-free graphs with 6 edges attain s = 2; the dump stops at 16
+        out_dir = tmp_path / "witnesses"
+        code, out, _ = run(
+            capsys,
+            "search", "mex", "--m", "6", "--s", "2", "--forbid-clique", "3",
+            "--witnesses-dir", str(out_dir),
+        )
+        assert code == 0
+        assert out == '{"optimum":6,"witness_count":45,"search_space_size":68}\n'
+        want = [
+            "1 4\n2 4\n3 4\n1 5\n2 5\n3 5\n",
+            "2 5\n3 5\n4 5\n1 6\n3 6\n4 6\n",
+            "3 4\n3 5\n1 6\n2 6\n4 6\n5 6\n",
+            "3 4\n2 5\n3 5\n1 6\n4 6\n5 6\n",
+            "2 3\n3 4\n2 5\n1 6\n4 6\n5 6\n",
+            "2 3\n2 4\n1 5\n3 6\n4 6\n5 6\n",
+            "2 3\n2 4\n1 5\n4 5\n1 6\n3 6\n",
+            "1 2\n4 5\n4 6\n3 7\n5 7\n6 7\n",
+            "1 2\n4 5\n3 6\n5 6\n3 7\n4 7\n",
+            "1 3\n2 3\n4 6\n5 6\n4 7\n5 7\n",
+            "1 7\n2 7\n3 7\n4 7\n5 7\n6 7\n",
+            "5 6\n1 7\n2 7\n3 7\n4 7\n6 7\n",
+            "4 6\n5 6\n1 7\n2 7\n3 7\n6 7\n",
+            "3 6\n4 6\n5 6\n1 7\n2 7\n5 7\n",
+            "4 5\n5 6\n1 7\n2 7\n3 7\n6 7\n",
+            "4 5\n3 6\n1 7\n2 7\n5 7\n6 7\n",
+        ]
+        assert sorted(p.name for p in out_dir.iterdir()) == sorted(
+            f"witness_{i}.edges" for i in range(len(want))
+        )
+        assert [(out_dir / f"witness_{i}.edges").read_text() for i in range(len(want))] == want
+
+    def test_mex_disconnected_forbidden_pinned_bytes(self, capsys, tmp_path):
+        path = tmp_path / "2k2.edges"
+        path.write_text("1 2\n3 4\n")
+        code, out, _ = run(
+            capsys, "search", "mex", "--m", "5", "--s", "2", "--forbid-file", str(path)
+        )
+        assert code == 0
+        assert out == '{"optimum":5,"witness_count":1,"search_space_size":26}\n'
 
     def test_min_shadow(self, capsys):
         code, out, _ = run(

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from mexkit import oracle
+from mexkit.cli import _EXPECTED_GRAPH_COUNTS
 from mexkit.constructions import (
     blowup,
     colex_turan_graph,
@@ -12,6 +13,7 @@ from mexkit.constructions import (
 from mexkit.extremal import mex_clique, zykov_ex
 from mexkit.graphs import Graph, contains_subgraph, count_cliques, graph_from_edges
 from mexkit.oracle import (
+    DEFAULT_EDGE_CAP,
     CapExceededError,
     brute_force_ex,
     brute_force_mex,
@@ -27,6 +29,7 @@ from corpus import labeling_hard_graphs, named_small_graphs
 from oracles import (
     are_isomorphic,
     naive_brute_force_ex,
+    naive_brute_force_mex,
     naive_min_edits,
     naive_nonisomorphic_graphs,
 )
@@ -221,6 +224,60 @@ class TestBruteForceMex:
         res = brute_force_mex(6, 2, tri, witness_limit=len(expected))
         assert res.witness_count == len(expected) > 16
         assert list(res.witnesses) == expected
+
+    @pytest.mark.parametrize(
+        "forbidden",
+        [complete_graph(k) for k in range(1, 5)]
+        + [P3, C4, K13, TWO_K2, K2_K1, Graph(0, (0,))],
+        ids=["K1", "K2", "K3", "K4", "P3", "C4", "K13", "2K2", "K2+K1", "empty"],
+    )
+    def test_matches_naive_enumeration(self, forbidden):
+        for m in range(1, 7):
+            for s in range(1, 5):
+                res = brute_force_mex(m, s, forbidden, witness_limit=10**6)
+                best, classes, space = naive_brute_force_mex(m, s, forbidden)
+                assert (res.optimum, res.witness_count, res.search_space_size) == (
+                    best, len(classes), space
+                ), (m, s)
+                # one-to-one: each witness matches one class, each class one witness
+                hits = [
+                    [i for i, h in enumerate(classes) if are_isomorphic(w, h)]
+                    for w in res.witnesses
+                ]
+                assert sorted(hits) == [[i] for i in range(len(classes))], (m, s)
+                forms = [canonical_form(w) for w in res.witnesses]
+                assert forms == sorted(forms), (m, s)
+
+    @pytest.mark.parametrize(
+        "forbidden",
+        [complete_graph(k) for k in range(1, 6)] + [P3, C4, K13],
+        ids=["K1", "K2", "K3", "K4", "K5", "P3", "C4", "K13"],
+    )
+    def test_knapsack_matches_enumeration(self, forbidden):
+        # connected forbidden graphs take the knapsack; the enumerate-and-filter
+        # loop kept for disconnected ones must give every field alike
+        def fields(res):
+            return (res.optimum, res.witnesses, res.witness_count, res.search_space_size)
+
+        for m in range(1, 9):
+            for s in range(1, 5):
+                fast = brute_force_mex(m, s, forbidden, witness_limit=10**6)
+                slow = oracle._mex_by_enumeration(m, s, forbidden, DEFAULT_EDGE_CAP, 10**6)
+                assert fields(fast) == fields(slow), (m, s)
+
+    def test_search_space_is_a000664(self):
+        # the knapsack counts the classes with m edges instead of listing them
+        for m, want in enumerate(_EXPECTED_GRAPH_COUNTS, start=1):
+            assert brute_force_mex(m, 2, complete_graph(3)).search_space_size == want
+
+    def test_cap_and_validation(self):
+        for forbidden in (complete_graph(4), TWO_K2):
+            with pytest.raises(CapExceededError):
+                brute_force_mex(11, 3, forbidden)
+            with pytest.raises(ValueError):
+                brute_force_mex(0, 3, forbidden)
+            with pytest.raises(ValueError):
+                brute_force_mex(3, 0, forbidden)
 
     @pytest.mark.parametrize("m", [9, 10])
     def test_matches_closed_form_at_the_edge_cap(self, m):
