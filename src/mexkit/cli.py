@@ -20,6 +20,7 @@ import json
 import os
 import sys
 from pathlib import Path
+from typing import Iterator
 
 from . import colex, constructions, extremal, graphs, oracle, processes
 
@@ -182,97 +183,106 @@ def _verdict(ok: bool) -> str:
     return "ok" if ok else "FAIL"
 
 
+def _report(
+    rows: Iterator[tuple[bool, str]], summary: str, *, failures_only: bool = False
+) -> int:
+    """Print each checked row with its verdict, then the summary with the overall one.
+
+    Rows print as they are checked; with failures_only, passing rows stay
+    silent.  A range that checks no instance is a usage error, not a pass,
+    and leaves stdout empty.
+    """
+    checked, all_ok = 0, True
+    for ok, line in rows:
+        checked += 1
+        all_ok &= ok
+        if not (ok and failures_only):
+            print(f"{line} {_verdict(ok)}")
+    if not checked:
+        raise ValueError(f"empty range: {summary} checks no instance")
+    print(f"{summary}: {_verdict(all_ok)}")
+    return EXIT_OK if all_ok else EXIT_CHECK_FAILED
+
+
 def _cmd_verify_frohmader(args: argparse.Namespace) -> int:
     cap = _cap(oracle.DEFAULT_EDGE_CAP)
     oracle._require_cap(args.m_max, cap, "edge count")  # before printing any line
     forbidden = constructions.complete_graph(args.r + 1)
-    all_ok = True
-    for m in range(1, args.m_max + 1):
-        brute = oracle.brute_force_mex(m, args.s, forbidden, cap=cap).optimum
-        closed = extremal.mex_clique(m, args.s, args.r)
-        ok = brute == closed
-        all_ok &= ok
-        print(f"m={m} brute={brute} closed={closed} {_verdict(ok)}")
-    print(f"frohmader r={args.r} s={args.s} m<={args.m_max}: {_verdict(all_ok)}")
-    return EXIT_OK if all_ok else EXIT_CHECK_FAILED
+
+    def rows() -> Iterator[tuple[bool, str]]:
+        for m in range(1, args.m_max + 1):
+            brute = oracle.brute_force_mex(m, args.s, forbidden, cap=cap).optimum
+            closed = extremal.mex_clique(m, args.s, args.r)
+            yield brute == closed, f"m={m} brute={brute} closed={closed}"
+
+    return _report(rows(), f"frohmader r={args.r} s={args.s} m<={args.m_max}")
 
 
 def _cmd_verify_zykov(args: argparse.Namespace) -> int:
     cap = _cap(oracle.DEFAULT_VERTEX_CAP)
     oracle._require_cap(args.n_max, cap, "vertex count")  # before printing any line
     forbidden = constructions.complete_graph(args.r + 1)
-    all_ok = True
-    for n in range(max(args.r, args.t), args.n_max + 1):
-        res = oracle.brute_force_ex(n, args.t, forbidden, cap=cap)
-        closed = extremal.zykov_ex(n, args.t, args.r)
-        unique = res.witness_count == 1 and res.witnesses[0] == oracle.canonical_graph(
-            constructions.turan_graph(args.r, n)
-        )
-        ok = res.optimum == closed and unique
-        all_ok &= ok
-        print(
-            f"n={n} brute={res.optimum} closed={closed} "
-            f"witnesses={res.witness_count} {_verdict(ok)}"
-        )
-    print(f"zykov r={args.r} t={args.t} n<={args.n_max}: {_verdict(all_ok)}")
-    return EXIT_OK if all_ok else EXIT_CHECK_FAILED
+
+    def rows() -> Iterator[tuple[bool, str]]:
+        for n in range(max(args.r, args.t), args.n_max + 1):
+            res = oracle.brute_force_ex(n, args.t, forbidden, cap=cap)
+            closed = extremal.zykov_ex(n, args.t, args.r)
+            unique = res.witness_count == 1 and res.witnesses[0] == oracle.canonical_graph(
+                constructions.turan_graph(args.r, n)
+            )
+            yield res.optimum == closed and unique, (
+                f"n={n} brute={res.optimum} closed={closed} witnesses={res.witness_count}"
+            )
+
+    return _report(rows(), f"zykov r={args.r} t={args.t} n<={args.n_max}")
 
 
 def _cmd_verify_shadows(args: argparse.Namespace) -> int:
-    all_ok = True
-    for size in range(args.size_max + 1):
-        brute = oracle.brute_force_min_shadow(
-            args.n,
-            args.k,
-            size,
-            args.p,
-            r_colorable=args.r,
-            cap=_cap(oracle.DEFAULT_FAMILY_CAP),
-        )
-        if args.r is None:
-            closed = colex.kk_min_shadow(args.k, size, args.p)
-        else:
-            closed = colex.ffk_min_shadow(args.r, args.k, size, args.p)
-        ok = brute == closed
-        all_ok &= ok
-        print(f"size={size} brute={brute} closed={closed} {_verdict(ok)}")
+    def rows() -> Iterator[tuple[bool, str]]:
+        for size in range(args.size_max + 1):
+            brute = oracle.brute_force_min_shadow(
+                args.n,
+                args.k,
+                size,
+                args.p,
+                r_colorable=args.r,
+                cap=_cap(oracle.DEFAULT_FAMILY_CAP),
+            )
+            if args.r is None:
+                closed = colex.kk_min_shadow(args.k, size, args.p)
+            else:
+                closed = colex.ffk_min_shadow(args.r, args.k, size, args.p)
+            yield brute == closed, f"size={size} brute={brute} closed={closed}"
+
     label = "ffk" if args.r is not None else "kruskal-katona"
-    print(
-        f"{label} n={args.n} k={args.k} p={args.p} size<={args.size_max}: {_verdict(all_ok)}"
-    )
-    return EXIT_OK if all_ok else EXIT_CHECK_FAILED
+    return _report(rows(), f"{label} n={args.n} k={args.k} p={args.p} size<={args.size_max}")
 
 
 def _cmd_verify_closed_form(args: argparse.Namespace) -> int:
-    all_ok = True
-    for r in range(2, args.r_max + 1):
-        for s in range(2, r + 1):
-            for n in range(r, args.n_max + 1, r):
-                ok = extremal.closed_form_check(r, s, n)
-                ct = constructions.colex_turan_graph(r, constructions.turan_number(r, n))
-                want = n * (r - 1) // r
-                regular = all(
-                    ct.degree(v) == want
-                    for v in ct.vertices()
-                    if ct.adjacency[v]
-                )
-                ok = ok and regular
-                all_ok &= ok
-                print(f"r={r} s={s} n={n} {_verdict(ok)}")
-    print(f"closed-form r<={args.r_max} n<={args.n_max}: {_verdict(all_ok)}")
-    return EXIT_OK if all_ok else EXIT_CHECK_FAILED
+    def rows() -> Iterator[tuple[bool, str]]:
+        for r in range(2, args.r_max + 1):
+            for s in range(2, r + 1):
+                for n in range(r, args.n_max + 1, r):
+                    ok = extremal.closed_form_check(r, s, n)
+                    ct = constructions.colex_turan_graph(r, constructions.turan_number(r, n))
+                    want = n * (r - 1) // r
+                    regular = all(
+                        ct.degree(v) == want
+                        for v in ct.vertices()
+                        if ct.adjacency[v]
+                    )
+                    yield ok and regular, f"r={r} s={s} n={n}"
+
+    return _report(rows(), f"closed-form r<={args.r_max} n<={args.n_max}")
 
 
 def _cmd_verify_constants(args: argparse.Namespace) -> int:
-    all_ok = True
-    for r in range(2, args.r_max + 1):
-        for s in range(3, args.r_max + 2):
-            ok = extremal.verify_constant_identities(r, s)
-            all_ok &= ok
-            if not ok:
-                print(f"r={r} s={s} {_verdict(ok)}")
-    print(f"constant identities r<={args.r_max}: {_verdict(all_ok)}")
-    return EXIT_OK if all_ok else EXIT_CHECK_FAILED
+    rows = (
+        (extremal.verify_constant_identities(r, s), f"r={r} s={s}")
+        for r in range(2, args.r_max + 1)
+        for s in range(3, args.r_max + 2)
+    )
+    return _report(rows, f"constant identities r<={args.r_max}", failures_only=True)
 
 
 def _cmd_verify_gadget(args: argparse.Namespace) -> int:
@@ -292,15 +302,14 @@ def _cmd_verify_enumeration(args: argparse.Namespace) -> int:
         raise ValueError(
             f"reference counts available only for m <= {len(_EXPECTED_GRAPH_COUNTS)}"
         )
-    all_ok = True
-    for m in range(1, args.m_max + 1):
-        got = sum(1 for _ in oracle.enumerate_graphs(m, cap=_cap(oracle.DEFAULT_EDGE_CAP)))
-        want = _EXPECTED_GRAPH_COUNTS[m - 1]
-        ok = got == want
-        all_ok &= ok
-        print(f"m={m} enumerated={got} expected={want} {_verdict(ok)}")
-    print(f"enumeration m<={args.m_max}: {_verdict(all_ok)}")
-    return EXIT_OK if all_ok else EXIT_CHECK_FAILED
+
+    def rows() -> Iterator[tuple[bool, str]]:
+        for m in range(1, args.m_max + 1):
+            got = sum(1 for _ in oracle.enumerate_graphs(m, cap=_cap(oracle.DEFAULT_EDGE_CAP)))
+            want = _EXPECTED_GRAPH_COUNTS[m - 1]
+            yield got == want, f"m={m} enumerated={got} expected={want}"
+
+    return _report(rows(), f"enumeration m<={args.m_max}")
 
 
 # ---------------------------------------------------------------------------
@@ -414,11 +423,14 @@ def _trace_to_lines(trace: processes.ProcessTrace) -> None:
     _emit(summary)
 
 
-def _process_config(args: argparse.Namespace, g: graphs.Graph) -> processes.ProcessConfig:
-    if args.mode == "edge":
-        config = processes.default_edge_config(g, args.s, args.r, args.epsilon)
-    else:
-        config = processes.default_vertex_config(g, args.s, args.r, args.epsilon)
+def _cmd_process_run(args: argparse.Namespace) -> int:
+    """process edge / process vertex: the default config, overridden by the flags given."""
+    default_config, run = {
+        "edge": (processes.default_edge_config, processes.edge_deletion_process),
+        "vertex": (processes.default_vertex_config, processes.vertex_deletion_process),
+    }[args.procedure]
+    g = _load_graph(args.input)
+    config = default_config(g, args.s, args.r, args.epsilon)
     overrides = {}
     if args.coefficient is not None:
         overrides["coefficient"] = args.coefficient
@@ -426,22 +438,9 @@ def _process_config(args: argparse.Namespace, g: graphs.Graph) -> processes.Proc
         overrides["exponent"] = args.exponent
     if args.budget is not None:
         overrides["edge_budget"] = args.budget
-    return dataclasses.replace(config, **overrides) if overrides else config
-
-
-def _cmd_process_edge(args: argparse.Namespace) -> int:
-    g = _load_graph(args.input)
-    args.mode = "edge"
-    trace = processes.edge_deletion_process(g, _process_config(args, g))
-    _trace_to_lines(trace)
-    return EXIT_OK
-
-
-def _cmd_process_vertex(args: argparse.Namespace) -> int:
-    g = _load_graph(args.input)
-    args.mode = "vertex"
-    trace = processes.vertex_deletion_process(g, _process_config(args, g))
-    _trace_to_lines(trace)
+    if overrides:
+        config = dataclasses.replace(config, **overrides)
+    _trace_to_lines(run(g, config))
     return EXIT_OK
 
 
@@ -610,7 +609,7 @@ def build_parser() -> argparse.ArgumentParser:
     process = sub.add_parser("process", help="run a deletion process and print its trace")
     psub = process.add_subparsers(dest="procedure", required=True)
 
-    for name, handler in (("edge", _cmd_process_edge), ("vertex", _cmd_process_vertex)):
+    for name in ("edge", "vertex"):
         pp = psub.add_parser(name)
         pp.add_argument("--input", required=True)
         pp.add_argument("--s", type=int, required=True)
@@ -619,7 +618,7 @@ def build_parser() -> argparse.ArgumentParser:
         pp.add_argument("--coefficient", type=float, default=None)
         pp.add_argument("--exponent", type=float, default=None)
         pp.add_argument("--budget", type=int, default=None)
-        pp.set_defaults(handler=handler)
+        pp.set_defaults(handler=_cmd_process_run)
 
     ps = psub.add_parser("stability")
     ps.add_argument("--input", required=True)

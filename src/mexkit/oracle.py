@@ -1,10 +1,12 @@
 """Exhaustive brute-force search engines for desk-scale verification.
 
-Everything here is exact and deterministic: graphs are enumerated up to
-isomorphism via canonical forms, optima are computed by full scans, and
-safety caps guard every search whose space is super-exponential.  The
-caps raise CapExceededError; pass cap=None (CLI: MEXKIT_CAP_OVERRIDE=1)
-to override them deliberately.
+Everything here is exact and deterministic.  _grow builds the graph
+classes level by level, from children kept only when a fixed deletion
+rule would undo their step, one canonical representative per form;
+_knapsack walks the multisets of connected classes that make up the
+graphs with m edges.  Safety caps guard every search whose space is
+super-exponential; they raise CapExceededError, and cap=None (CLI:
+MEXKIT_CAP_OVERRIDE=1) overrides them deliberately.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import combinations, product
 from math import comb
-from typing import Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .graphs import (
     Graph,
@@ -241,47 +243,64 @@ def canonical_graph(g: Graph) -> Graph:
 # enumeration up to isomorphism
 # ---------------------------------------------------------------------------
 
-_K2 = Graph(2, (0, 0b100, 0b010))
-# levels[j] = sorted list of (canonical item, graph) for connected graphs with j edges
-_CONNECTED_LEVELS: list[list[tuple[tuple[int, tuple[int, ...]], Graph]]] = [
-    [],
-    [((2, (1,)), _K2)],
-]
+# levels[j] = connected graphs with j edges, canonical form -> canonical
+# representative, in form order; level 0 is the one-vertex graph
+_CONNECTED_LEVELS: list[dict[tuple, Graph]] = [{(1, ((1, ()),)): Graph(1, (0, 0))}]
 
 
-def _connected_upto(m: int) -> list[list[tuple[tuple[int, tuple[int, ...]], Graph]]]:
+def _grow(
+    parents: Iterable[Graph], children: Callable[[Graph], Iterable[Sequence[int]]]
+) -> dict[tuple, Graph]:
+    """The next level: one canonical representative per form of the kept children.
+
+    children(h) yields the padded adjacency of each child of h that its
+    level builder keeps; each is labeled before the next is asked for,
+    so a builder may yield one list and change it in place.  The level
+    maps each form to its representative, in form order.
+    """
+    grown: dict[tuple, Graph] = {}
+    for h in parents:
+        for adj in children(h):
+            form = _form(adj)
+            if form not in grown:
+                grown[form] = _graph_from_items(*form)
+    return dict(sorted(grown.items()))
+
+
+def _connected_upto(m: int) -> list[dict[tuple, Graph]]:
     """Connected graphs with up to m edges, one canonical representative each.
 
     Level j is grown from level j-1 by adding either an edge between two
     existing vertices or a pendant edge to a fresh vertex, and a child is
     kept only when the added edge is a deletable edge of least key
     (_least_deletable).  This is exact: every connected graph with at
-    least 2 edges has a deletable edge of least key, and deleting it (with
+    least 1 edge has a deletable edge of least key, and deleting it (with
     its leaf, if pendant) leaves a connected class of level j-1, to which
     adding the edge back is one of the moves.
     """
+
+    def children(h: Graph) -> Iterator[list[int]]:
+        n = h.vertex_count
+        adj = list(h.adjacency)
+        for v in range(2, n + 1):
+            for u in range(1, v):
+                if not adj[u] >> v & 1:
+                    adj[u] ^= 1 << v
+                    adj[v] ^= 1 << u
+                    if _least_deletable(adj, u, v):
+                        yield adj
+                    adj[u] ^= 1 << v
+                    adj[v] ^= 1 << u
+        adj.append(0)
+        for u in range(1, n + 1):
+            adj[u] ^= 1 << n + 1
+            adj[n + 1] = 1 << u
+            if _least_deletable(adj, u, n + 1):
+                yield adj
+            adj[u] ^= 1 << n + 1
+
     while len(_CONNECTED_LEVELS) <= m:
-        seen: dict[tuple, tuple[tuple[int, tuple[int, ...]], Graph]] = {}
-        for _, h in _CONNECTED_LEVELS[-1]:
-            n = h.vertex_count
-            adj = list(h.adjacency)
-            for v in range(2, n + 1):
-                for u in range(1, v):
-                    if not adj[u] >> v & 1:
-                        adj[u] ^= 1 << v
-                        adj[v] ^= 1 << u
-                        if _least_deletable(adj, u, v):
-                            _record_connected(seen, adj, n)
-                        adj[u] ^= 1 << v
-                        adj[v] ^= 1 << u
-            adj.append(0)
-            for u in range(1, n + 1):
-                adj[u] ^= 1 << n + 1
-                adj[n + 1] = 1 << u
-                if _least_deletable(adj, u, n + 1):
-                    _record_connected(seen, adj, n + 1)
-                adj[u] ^= 1 << n + 1
-        _CONNECTED_LEVELS.append(sorted(seen.values(), key=lambda iv: iv[0]))
+        _CONNECTED_LEVELS.append(_grow(_CONNECTED_LEVELS[-1].values(), children))
     return _CONNECTED_LEVELS
 
 
@@ -316,53 +335,74 @@ def _is_bridge(adj: Sequence[int], a: int, b: int) -> bool:
     return True
 
 
-def _record_connected(seen: dict, adj: list[int], n: int) -> None:
-    """File the connected graph on vertices 1..n under its canonical item."""
-    item = (n, _component_bits(adj, list(range(1, n + 1))))
-    if item not in seen:
-        seen[item] = (item, _graph_from_items(n, (item,)))
+def _knapsack(
+    m: int, score: Callable[[Graph], int | None]
+) -> tuple[int, int, int, list[tuple[int, tuple]]]:
+    """Max-plus knapsack over the connected classes with up to m edges.
+
+    A graph with m edges and no isolated vertices is a multiset of
+    connected classes whose edge counts sum to m.  score(g) is a class's
+    value, or None to leave it out.  The table holds, for every e <= m,
+    the best total over multisets of scored classes with e edges (-1
+    while there is none), how many reach it, and how many multisets of
+    any classes have e edges (OEIS A000664).  Every part of an optimal
+    multiset is optimal for its own edge count, so the attainers are
+    walked through the table alone; their (vertex count, items) keys
+    are returned sorted, which is canonical-form order.
+    """
+    levels = _connected_upto(m)
+    # (edge count, component item, representative); a connected form is (n, (item,))
+    types = [(j, form[1][0], g) for j in range(m, 0, -1) for form, g in levels[j].items()]
+    best, ways, total = [0] + [-1] * m, [1] + [0] * m, [1] + [0] * m
+    # (edge count, score) -> indices into types of the classes scoring so
+    by_score: dict[tuple[int, int], list[int]] = {}
+    for i, (j, _, g) in enumerate(types):
+        points = score(g)
+        if points is not None:
+            by_score.setdefault((j, points), []).append(i)
+        for e in range(j, m + 1):  # ascending e: each class may repeat
+            total[e] += total[e - j]
+            if points is not None and best[e - j] >= 0:
+                value = best[e - j] + points
+                if value > best[e]:
+                    best[e], ways[e] = value, ways[e - j]
+                elif value == best[e]:
+                    ways[e] += ways[e - j]
+
+    keys: list[tuple[int, tuple]] = []
+
+    def walk(first: int, e: int, chosen: list[int]) -> None:
+        # chosen holds nondecreasing indices, so each multiset is met once
+        if e == 0:
+            items = tuple(sorted(types[i][1] for i in chosen))
+            keys.append((sum(size for size, _ in items), items))
+            return
+        for j in range(1, e + 1):
+            if best[e - j] >= 0:
+                for i in by_score.get((j, best[e] - best[e - j]), ()):
+                    if i >= first:
+                        chosen.append(i)
+                        walk(i, e - j, chosen)
+                        chosen.pop()
+
+    if best[m] >= 0:
+        walk(0, m, [])
+    keys.sort()
+    return best[m], ways[m], total[m], keys
 
 
-def enumerate_graphs(
-    m: int, n_max: int | None = None, *, cap: int | None = DEFAULT_EDGE_CAP
-) -> Iterator[Graph]:
+def enumerate_graphs(m: int, *, cap: int | None = DEFAULT_EDGE_CAP) -> Iterator[Graph]:
     """All graphs with exactly m edges and no isolated vertices, up to isomorphism.
 
-    Assembled as multisets of connected components; each class is yielded
-    exactly once, ordered by vertex count then canonical form.  A graph
-    with m edges and no isolated vertices has at most 2m vertices, so
-    n_max beyond that is rejected.
+    Each class is yielded exactly once as its canonical representative,
+    ordered by vertex count then canonical form: the knapsack with every
+    class scoring 0, so every multiset of connected classes attains.
     """
     if m < 1:
         raise ValueError("m must be at least 1")
     _require_cap(m, cap, "edge count")
-    limit = 2 * m if n_max is None else n_max
-    if limit > 2 * m:
-        raise ValueError(f"n_max {limit} exceeds 2m = {2 * m}")
-    levels = _connected_upto(m)
-    types = [
-        (j, item, g) for j in range(m, 0, -1) for item, g in levels[j]
-    ]
-    found: list[tuple[int, tuple, Graph]] = []
-
-    def rec(start: int, remaining: int, vertices: int, chosen: list[int]) -> None:
-        if remaining == 0:
-            items = tuple(sorted(types[i][1] for i in chosen))
-            n = vertices
-            found.append((n, (n, items), _graph_from_items(n, items)))
-            return
-        for i in range(start, len(types)):
-            j, _, g = types[i]
-            if j > remaining or vertices + g.vertex_count > limit:
-                continue
-            chosen.append(i)
-            rec(i, remaining - j, vertices + g.vertex_count, chosen)
-            chosen.pop()
-
-    rec(0, m, 0, [])
-    found.sort(key=lambda t: (t[0], t[1]))
-    for _, _, g in found:
-        yield g
+    for n, items in _knapsack(m, lambda g: 0)[3]:
+        yield _graph_from_items(n, items)
 
 
 # ---------------------------------------------------------------------------
@@ -421,16 +461,13 @@ def brute_force_mex(
     When the forbidden graph F has at most one component, a graph is
     F-free exactly when each of its components is, and its edges and
     s-cliques (K_s is connected) are the sums over its components.  The
-    search is then a knapsack over the connected classes with up to m
-    edges: each class is scored once, and one table holds, for every
-    e <= m, the most s-cliques over multisets of free classes with e
-    edges, how many multisets reach it, and how many multisets of any
-    classes have e edges (search_space_size).  Every part of an optimal
-    multiset is optimal for its own edge count, so the attainers are
-    walked through the table alone and only the first witness_limit are
-    built.  A forbidden graph with two or more components (2K_2,
-    K_2 plus an isolated vertex, ...) can be contained in a graph with
-    free components, so it is decided by enumerate-and-filter instead.
+    search is then _knapsack over the connected classes with up to m
+    edges, a free class scoring its s-cliques and the others left out;
+    search_space_size counts every multiset with m edges, and only the
+    first witness_limit attainers are built.  A forbidden graph with two
+    or more components (2K_2, K_2 plus an isolated vertex, ...) can be
+    contained in a graph with free components, so it is decided by
+    enumerate-and-filter instead.
     """
     if s < 1:
         raise ValueError("s must be at least 1")
@@ -440,51 +477,15 @@ def brute_force_mex(
         raise ValueError("m must be at least 1")
     _require_cap(m, cap, "edge count")
     start = time.perf_counter()
-    levels = _connected_upto(m)
     forb_k = _clique_order(forbidden)
-    types = [(j, item, g) for j in range(m, 0, -1) for item, g in levels[j]]
-    # best[e] is -1 while no free multiset has e edges
-    best, ways, total = [0] + [-1] * m, [1] + [0] * m, [1] + [0] * m
-    # (edge count, s-cliques) -> indices into types of the free classes scoring so
-    by_score: dict[tuple[int, int], list[int]] = {}
-    for i, (j, _, g) in enumerate(types):
-        free = _is_free(g, forbidden, forb_k)
-        if free:
-            score = count_cliques(g, s)
-            by_score.setdefault((j, score), []).append(i)
-        for e in range(j, m + 1):  # ascending e: each class may repeat
-            total[e] += total[e - j]
-            if free and best[e - j] >= 0:
-                value = best[e - j] + score
-                if value > best[e]:
-                    best[e], ways[e] = value, ways[e - j]
-                elif value == best[e]:
-                    ways[e] += ways[e - j]
-
-    keys: list[tuple[int, tuple]] = []
-
-    def walk(first: int, e: int, chosen: list[int]) -> None:
-        # chosen holds nondecreasing indices, so each multiset is met once
-        if e == 0:
-            items = tuple(sorted(types[i][1] for i in chosen))
-            keys.append((sum(size for size, _ in items), items))
-            return
-        for j in range(1, e + 1):
-            if best[e - j] >= 0:
-                for i in by_score.get((j, best[e] - best[e - j]), ()):
-                    if i >= first:
-                        chosen.append(i)
-                        walk(i, e - j, chosen)
-                        chosen.pop()
-
-    if best[m] >= 0:
-        walk(0, m, [])
-    keys.sort()
+    best, ways, total, keys = _knapsack(
+        m, lambda g: count_cliques(g, s) if _is_free(g, forbidden, forb_k) else None
+    )
     return SearchResult(
-        optimum=max(best[m], 0),
+        optimum=max(best, 0),
         witnesses=tuple(_graph_from_items(n, items) for n, items in keys[:witness_limit]),
-        witness_count=ways[m],
-        search_space_size=total[m],
+        witness_count=ways,
+        search_space_size=total,
         elapsed=time.perf_counter() - start,
     )
 
@@ -531,47 +532,46 @@ def brute_force_ex(
         raise ValueError("t must be at least 1")
     _require_cap(n, cap, "vertex count")
     start = time.perf_counter()
-    level = _free_upto(n, forbidden)[n]
+    level = list(_free_upto(n, forbidden)[n].values())
     return _search_result(level, t, len(level), witness_limit, start)
 
 
-# levels[k] = free graphs on k vertices, one canonical representative per
-# class in canonical-form order, keyed by canonical_form of the forbidden graph;
+# levels[k] = free graphs on k vertices, canonical form -> canonical
+# representative in form order, keyed by canonical_form of the forbidden graph;
 # they pay off only when one process asks for the same forbidden graph again,
 # as `verify zykov` does for each n in turn
-_FREE_LEVELS: dict[tuple, list[list[Graph]]] = {}
+_FREE_LEVELS: dict[tuple, list[dict[tuple, Graph]]] = {}
 
 
-def _free_upto(n: int, forbidden: Graph) -> list[list[Graph]]:
+def _free_upto(n: int, forbidden: Graph) -> list[dict[tuple, Graph]]:
     """The free levels 0..n of brute_force_ex, extended in place in _FREE_LEVELS.
 
     The 0-vertex seed is not tested for freeness; brute_force_ex reads
     only the levels n >= 1.
     """
-    levels = _FREE_LEVELS.setdefault(canonical_form(forbidden), [[Graph(0, (0,))]])
+    levels = _FREE_LEVELS.setdefault(canonical_form(forbidden), [{(0, ()): Graph(0, (0,))}])
     forb_k = _clique_order(forbidden)
+
+    def children(h: Graph) -> Iterator[tuple[int, ...]]:
+        k = h.vertex_count + 1
+        deg = [a.bit_count() for a in h.adjacency]
+        low = min(deg[1:], default=0)
+        lows = sum(1 << v for v in h.vertices() if deg[v] == low)
+        succ = [a & -(2 << v) for v, a in enumerate(h.adjacency)]
+        for nbrs in range(0, 1 << k, 2):  # every subset of 1..k-1
+            d = nbrs.bit_count()
+            if d > low + 1 or d == low + 1 and nbrs & lows != lows:
+                continue
+            # h is free, so a new K_q would contain k: a K_{q-1} in nbrs
+            if forb_k is not None and _has_within(succ, nbrs, forb_k - 1):
+                continue
+            adj = (*(a | (nbrs >> v & 1) << k for v, a in enumerate(h.adjacency)), nbrs)
+            if forb_k is None and contains_subgraph(Graph(k, adj), forbidden):
+                continue
+            yield adj
+
     while len(levels) <= n:
-        k = len(levels)
-        grown: dict[tuple, Graph] = {}
-        for h in levels[-1]:
-            deg = [a.bit_count() for a in h.adjacency]
-            low = min(deg[1:], default=0)
-            lows = sum(1 << v for v in h.vertices() if deg[v] == low)
-            succ = [a & -(2 << v) for v, a in enumerate(h.adjacency)]
-            for nbrs in range(0, 1 << k, 2):  # every subset of 1..k-1
-                d = nbrs.bit_count()
-                if d > low + 1 or d == low + 1 and nbrs & lows != lows:
-                    continue
-                # h is free, so a new K_q would contain k: a K_{q-1} in nbrs
-                if forb_k is not None and _has_within(succ, nbrs, forb_k - 1):
-                    continue
-                adj = (*(a | (nbrs >> v & 1) << k for v, a in enumerate(h.adjacency)), nbrs)
-                if forb_k is None and contains_subgraph(Graph(k, adj), forbidden):
-                    continue
-                form = _form(adj)
-                if form not in grown:
-                    grown[form] = _graph_from_items(*form)
-        levels.append([grown[form] for form in sorted(grown)])
+        levels.append(_grow(levels[-1].values(), children))
     return levels
 
 

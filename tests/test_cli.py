@@ -210,8 +210,34 @@ class TestVerifySubcommands:
     def test_closed_form_and_constants(self, capsys):
         code, _, _ = run(capsys, "verify", "closed-form", "--r-max", "3", "--n-max", "9")
         assert code == 0
-        code, _, _ = run(capsys, "verify", "constants", "--r-max", "6")
-        assert code == 0
+        code, out, _ = run(capsys, "verify", "constants", "--r-max", "6")
+        assert (code, out) == (0, "constant identities r<=6: ok\n")
+
+    def test_constants_prints_only_failing_rows(self, capsys, monkeypatch):
+        monkeypatch.setattr(
+            cli.extremal, "verify_constant_identities", lambda r, s: (r, s) != (3, 4)
+        )
+        code, out, _ = run(capsys, "verify", "constants", "--r-max", "3")
+        assert (code, out) == (1, "r=3 s=4 FAIL\nconstant identities r<=3: FAIL\n")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("frohmader", "--r", "3", "--s", "3", "--m-max", "0"),
+            ("zykov", "--r", "0", "--t", "3", "--n-max", "2"),
+            ("zykov", "--r", "3", "--t", "3", "--n-max", "2"),
+            ("closed-form", "--r-max", "1", "--n-max", "10"),
+            ("closed-form", "--r-max", "3", "--n-max", "1"),
+            ("constants", "--r-max", "1"),
+            ("shadows", "--n", "4", "--k", "2", "--p", "1", "--size-max", "-1"),
+            ("enumeration", "--m-max", "0"),
+        ],
+    )
+    def test_empty_range_is_a_usage_error(self, capsys, argv):
+        # a verify command that checks no instance must not pass
+        code, out, err = run(capsys, "verify", *argv)
+        assert (code, out) == (2, "")
+        assert "empty range" in err
 
     def test_gadget(self, capsys):
         code, out, _ = run(capsys, "verify", "gadget", "--r", "3", "--m", "24")

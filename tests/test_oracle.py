@@ -142,11 +142,14 @@ class TestEnumeration:
                 assert g.edge_count == m
                 assert all(g.adjacency[v] for v in g.vertices())
 
-    def test_n_max_filter(self):
-        total = sum(1 for _ in enumerate_graphs(4))
-        capped = sum(1 for _ in enumerate_graphs(4, n_max=5))
-        assert capped < total
-        assert all(g.vertex_count <= 5 for g in enumerate_graphs(4, n_max=5))
+    def test_order_and_representatives(self):
+        # _mex_by_enumeration's witness order rests on this order
+        for m in range(1, 8):
+            graphs = list(enumerate_graphs(m))
+            keys = [(g.vertex_count, canonical_form(g)) for g in graphs]
+            assert all(a < b for a, b in zip(keys, keys[1:])), m
+            assert all(g == canonical_graph(g) for g in graphs), m
+            assert len(graphs) == _EXPECTED_GRAPH_COUNTS[m - 1], m
 
     def test_connected_levels_match_oeis(self):
         # connected graphs with m = 1..10 edges, OEIS A002905
@@ -187,8 +190,6 @@ class TestEnumeration:
             list(enumerate_graphs(11))
         with pytest.raises(ValueError):
             list(enumerate_graphs(0))
-        with pytest.raises(ValueError):
-            list(enumerate_graphs(3, n_max=7))
 
 
 class TestBruteForceMex:
