@@ -32,6 +32,11 @@ EXIT_CAP = 3
 # OEIS A000664: graphs with m edges and no isolated vertices
 _EXPECTED_GRAPH_COUNTS = [1, 2, 5, 11, 26, 68, 177, 497, 1476, 4613]
 
+# largest vertex count (top label or ``n`` header) an input file may give;
+# a graph holds one neighbour mask per vertex, so a stray label like
+# 100000000 would otherwise allocate for minutes before any command runs
+_INPUT_VERTEX_CAP = 10**5
+
 
 def _cap(default: int | None) -> int | None:
     return None if os.environ.get("MEXKIT_CAP_OVERRIDE") == "1" else default
@@ -43,7 +48,10 @@ def _emit(obj: dict) -> None:
 
 def _load_graph(path: str) -> graphs.Graph:
     text = sys.stdin.read() if path == "-" else Path(path).read_text()
-    return graphs.parse_edge_list(text)
+    edges, explicit = graphs._parse_edge_lines(text)
+    top = max((max(edge) for edge in edges), default=0)
+    oracle._require_cap(max(top, explicit or 0), _cap(_INPUT_VERTEX_CAP), "input vertex count")
+    return graphs.graph_from_edges(edges, explicit)
 
 
 def _forbidden_graph(args: argparse.Namespace) -> graphs.Graph:

@@ -77,10 +77,11 @@ class Graph:
             raise ValueError("vertex_count must be nonnegative")
         if len(self.adjacency) != n + 1 or self.adjacency[0] != 0:
             raise ValueError("adjacency must have one mask per vertex 1..n")
-        valid = _vertex_mask(n)
         for v in range(1, n + 1):
             mask = self.adjacency[v]
-            if mask & ~valid:
+            # bits past n (a negative mask too) or bit 0, by a shift that costs
+            # the size of the mask, not n
+            if mask >> n + 1 or mask & 1:
                 raise ValueError(f"neighbor of {v} out of range")
             if mask >> v & 1:
                 raise ValueError(f"self-loop at {v}")
@@ -377,6 +378,11 @@ def parse_edge_list(text: str) -> Graph:
     One edge per line as two positive integers; an optional leading
     header ``n <vertex_count>``; blank lines and ``#`` comments ignored.
     """
+    return graph_from_edges(*_parse_edge_lines(text))
+
+
+def _parse_edge_lines(text: str) -> tuple[list[tuple[int, int]], int | None]:
+    """The edges and the ``n`` header (None without one) of edge-list text, not yet a Graph."""
     explicit: int | None = None
     edges: list[tuple[int, int]] = []
     saw_content = False
@@ -399,7 +405,7 @@ def parse_edge_list(text: str) -> Graph:
         except ValueError as exc:
             raise ValueError(f"line {lineno}: non-integer endpoint in {raw!r}") from exc
         edges.append((u, v))
-    return graph_from_edges(edges, explicit)
+    return edges, explicit
 
 
 def format_edge_list(g: Graph) -> str:

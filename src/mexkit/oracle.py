@@ -1,12 +1,13 @@
 """Exhaustive brute-force search engines for desk-scale verification.
 
 Everything here is exact and deterministic.  _grow builds the graph
-classes level by level, from children kept only when a fixed deletion
-rule would undo their step, one canonical representative per form;
-_knapsack walks the multisets of connected classes that make up the
-graphs with m edges.  Safety caps guard every search whose space is
-super-exponential; they raise CapExceededError, and cap=None (CLI:
-MEXKIT_CAP_OVERRIDE=1) overrides them deliberately.
+classes level by level: a class tries one augmentation per orbit of the
+automorphisms its own labeling met, keeps a child only when a fixed
+deletion rule would undo the step, and the level keeps one canonical
+representative per form; _knapsack walks the multisets of connected
+classes that make up the graphs with m edges.  Safety caps guard every
+search whose space is super-exponential; they raise CapExceededError,
+and cap=None (CLI: MEXKIT_CAP_OVERRIDE=1) overrides them deliberately.
 """
 
 from __future__ import annotations
@@ -150,8 +151,10 @@ def _refine(
     return cells
 
 
-def _component_bits(adjacency: Sequence[int], verts: list[int]) -> tuple[int, ...]:
-    """Canonical adjacency bitstring of one component, by individualization-refinement.
+def _component_bits(
+    adjacency: Sequence[int], verts: list[int]
+) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """Canonical adjacency bitstring of one component, and generators of its automorphisms.
 
     The search tree starts from the equitable refinement of the unit
     partition.  A node branches on its first smallest non-singleton cell,
@@ -164,39 +167,68 @@ def _component_bits(adjacency: Sequence[int], verts: list[int]) -> tuple[int, ..
     bitstring over the leaves in colex order, i.e. the least number with
     bit i set for the i-th pair (McKay & Piperno, "Practical graph
     isomorphism II", JSC 2014).
+
+    The automorphisms the search meets come back as generators on
+    canonical positions (p maps position i to p[i]): the transposition of
+    every skipped twin, and for every leaf whose bitstring equals the
+    least so far, the map from that least leaf's vertex at each position
+    to this leaf's.  Both are kept in the component's own labels and
+    moved to positions by the final least leaf.  They span the whole
+    group: an automorphism maps the first least leaf to a least leaf of
+    the full tree, and swapping skipped twins, which fixes the node they
+    were skipped at, carries that leaf to one the search visited.
     """
     c = len(verts)
     if c == 1:
-        return ()
+        return (), ()
     edges = [(u, v) for v in verts for u in _bits(adjacency[v] & (1 << v) - 1)]
     pos = [0] * len(adjacency)
     best = -1
+    best_order: list[int] = []
+    # automorphisms met, in vertex labels: sources[i] maps to images[i]
+    maps: list[tuple[list[int], list[int]]] = []
 
     def search(cells: list[list[int]]) -> None:
-        nonlocal best
+        nonlocal best, best_order
         if len(cells) == c:
-            for i, (v,) in enumerate(cells):
+            order = [v for (v,) in cells]
+            for i, v in enumerate(order):
                 pos[v] = i
             code = 0
             for u, v in edges:
                 i, j = pos[u], pos[v]
                 code |= 1 << (j * (j - 1) // 2 + i if i < j else i * (i - 1) // 2 + j)
             if best < 0 or code < best:
-                best = code
+                best, best_order = code, order
+            elif code == best:
+                maps.append((best_order, order))
             return
         k = min(
             (i for i, cell in enumerate(cells) if len(cell) > 1), key=lambda i: len(cells[i])
         )
         tried: list[int] = []
         for v in cells[k]:
-            if any((adjacency[u] ^ adjacency[v]) & ~(1 << u | 1 << v) == 0 for u in tried):
+            twin = next(
+                (u for u in tried if (adjacency[u] ^ adjacency[v]) & ~(1 << u | 1 << v) == 0),
+                None,
+            )
+            if twin is not None:
+                maps.append(([twin, v], [v, twin]))
                 continue
             tried.append(v)
             rest = [w for w in cells[k] if w != v]
             search(_refine(adjacency, cells[:k] + [[v], rest] + cells[k + 1 :], [1 << v]))
 
     search(_refine(adjacency, [list(verts)], [sum(1 << v for v in verts)]))
-    return tuple(best >> i & 1 for i in range(c * (c - 1) // 2))
+    for i, v in enumerate(best_order):
+        pos[v] = i
+    gens: dict[tuple[int, ...], None] = {}
+    for sources, images in maps:
+        p = list(range(c))
+        for u, w in zip(sources, images):
+            p[pos[u]] = pos[w]
+        gens[tuple(p)] = None
+    return tuple(best >> i & 1 for i in range(c * (c - 1) // 2)), tuple(gens)
 
 
 def canonical_form(g: Graph) -> tuple:
@@ -212,7 +244,7 @@ def canonical_form(g: Graph) -> tuple:
 def _form(adjacency: Sequence[int]) -> tuple:
     """canonical_form of the graph with this padded adjacency, no Graph needed."""
     items = sorted(
-        (len(vs), _component_bits(adjacency, vs)) for vs in _component_vertex_lists(adjacency)
+        (len(vs), _component_bits(adjacency, vs)[0]) for vs in _component_vertex_lists(adjacency)
     )
     return (len(adjacency) - 1, tuple(items))
 
@@ -247,23 +279,94 @@ def canonical_graph(g: Graph) -> Graph:
 # representative, in form order; level 0 is the one-vertex graph
 _CONNECTED_LEVELS: list[dict[tuple, Graph]] = [{(1, ((1, ()),)): Graph(1, (0, 0))}]
 
+# component item (size, bits) -> generators of its automorphism group on
+# canonical positions, as _component_bits last found them for a grown child;
+# a missing item (a single vertex has no entry) only costs pruning, since
+# _grow still keeps one representative per form
+_AUTOMORPHISMS: dict[tuple, tuple[tuple[int, ...], ...]] = {}
+
+
+def _labeled_item(adjacency: Sequence[int], verts: list[int]) -> tuple[int, tuple[int, ...]]:
+    """The (size, bits) item of one component, its automorphisms kept in _AUTOMORPHISMS."""
+    bits, gens = _component_bits(adjacency, verts)
+    item = (len(verts), bits)
+    _AUTOMORPHISMS[item] = gens
+    return item
+
+
+def _class_generators(items: tuple[tuple[int, tuple[int, ...]], ...]) -> list[list[int]]:
+    """Automorphism generators of _graph_from_items(n, items), as padded vertex maps.
+
+    Each component's generators act on its block of labels, and each
+    block swaps with the next when their items are equal (the items are
+    sorted, so equal components sit side by side).
+    """
+    n = sum(size for size, _ in items)
+    gens = []
+    base = 0
+    for b, item in enumerate(items):
+        size = item[0]
+        for p in _AUTOMORPHISMS.get(item, ()):
+            perm = list(range(n + 1))
+            perm[base + 1 : base + size + 1] = [base + i + 1 for i in p]
+            gens.append(perm)
+        if b and items[b - 1] == item:
+            perm = list(range(n + 1))
+            for v in range(base + 1, base + size + 1):
+                perm[v], perm[v - size] = v - size, v
+            gens.append(perm)
+        base += size
+    return gens
+
+
+def _orbit_leaders(points: Iterable, gens: list[list[int]], image: Callable) -> list:
+    """The first point of each orbit of the generated group, in the given order.
+
+    image(p, x) is the image of point x under the vertex map p.
+    """
+    seen = set()
+    leaders = []
+    for x in points:
+        if x in seen:
+            continue
+        leaders.append(x)
+        seen.add(x)
+        stack = [x]
+        while stack:
+            y = stack.pop()
+            for p in gens:
+                z = image(p, y)
+                if z not in seen:
+                    seen.add(z)
+                    stack.append(z)
+    return leaders
+
+
+def _pair_image(p: list[int], pair: tuple[int, int]) -> tuple[int, int]:
+    u, v = p[pair[0]], p[pair[1]]
+    return (u, v) if u < v else (v, u)
+
+
+def _mask_image(p: list[int], mask: int) -> int:
+    return sum(1 << p[v] for v in _bits(mask))
+
 
 def _grow(
-    parents: Iterable[Graph], children: Callable[[Graph], Iterable[Sequence[int]]]
+    level: dict[tuple, Graph], children: Callable[[tuple, Graph], Iterable[tuple]]
 ) -> dict[tuple, Graph]:
     """The next level: one canonical representative per form of the kept children.
 
-    children(h) yields the padded adjacency of each child of h that its
-    level builder keeps; each is labeled before the next is asked for,
-    so a builder may yield one list and change it in place.  The level
-    maps each form to its representative, in form order.
+    children(form, h) yields the canonical form of each child of the
+    class h that its level builder keeps, one per orbit of h's
+    automorphisms; isomorphic children of different parents still
+    meet, so the level maps each form to its representative, in form
+    order.
     """
     grown: dict[tuple, Graph] = {}
-    for h in parents:
-        for adj in children(h):
-            form = _form(adj)
-            if form not in grown:
-                grown[form] = _graph_from_items(*form)
+    for form, h in level.items():
+        for child in children(form, h):
+            if child not in grown:
+                grown[child] = _graph_from_items(*child)
     return dict(sorted(grown.items()))
 
 
@@ -271,36 +374,39 @@ def _connected_upto(m: int) -> list[dict[tuple, Graph]]:
     """Connected graphs with up to m edges, one canonical representative each.
 
     Level j is grown from level j-1 by adding either an edge between two
-    existing vertices or a pendant edge to a fresh vertex, and a child is
-    kept only when the added edge is a deletable edge of least key
-    (_least_deletable).  This is exact: every connected graph with at
-    least 1 edge has a deletable edge of least key, and deleting it (with
-    its leaf, if pendant) leaves a connected class of level j-1, to which
-    adding the edge back is one of the moves.
+    existing vertices or a pendant edge to a fresh vertex, one per orbit
+    of the parent's automorphisms on its non-edges and on its vertices,
+    and a child is kept only when the added edge is a deletable edge of
+    least key (_least_deletable).  This is exact: every connected graph
+    with at least 1 edge has a deletable edge of least key, and deleting
+    it (with its leaf, if pendant) leaves a connected class of level j-1,
+    to which adding the edge back is one of the moves; an automorphism
+    of the parent carries the move, and the rule, to its orbit leader.
+    A kept child is connected, so it is labeled whole.
     """
 
-    def children(h: Graph) -> Iterator[list[int]]:
-        n = h.vertex_count
+    def children(form: tuple, h: Graph) -> Iterator[tuple]:
+        n, items = form
+        gens = _class_generators(items)
         adj = list(h.adjacency)
-        for v in range(2, n + 1):
-            for u in range(1, v):
-                if not adj[u] >> v & 1:
-                    adj[u] ^= 1 << v
-                    adj[v] ^= 1 << u
-                    if _least_deletable(adj, u, v):
-                        yield adj
-                    adj[u] ^= 1 << v
-                    adj[v] ^= 1 << u
+        non_edges = [(u, v) for v in range(2, n + 1) for u in range(1, v) if not adj[u] >> v & 1]
+        for u, v in _orbit_leaders(non_edges, gens, _pair_image):
+            adj[u] ^= 1 << v
+            adj[v] ^= 1 << u
+            if _least_deletable(adj, u, v):
+                yield (n, (_labeled_item(adj, list(range(1, n + 1))),))
+            adj[u] ^= 1 << v
+            adj[v] ^= 1 << u
         adj.append(0)
-        for u in range(1, n + 1):
+        for u in _orbit_leaders(range(1, n + 1), gens, list.__getitem__):
             adj[u] ^= 1 << n + 1
             adj[n + 1] = 1 << u
             if _least_deletable(adj, u, n + 1):
-                yield adj
+                yield (n + 1, (_labeled_item(adj, list(range(1, n + 2))),))
             adj[u] ^= 1 << n + 1
 
     while len(_CONNECTED_LEVELS) <= m:
-        _CONNECTED_LEVELS.append(_grow(_CONNECTED_LEVELS[-1].values(), children))
+        _CONNECTED_LEVELS.append(_grow(_CONNECTED_LEVELS[-1], children))
     return _CONNECTED_LEVELS
 
 
@@ -337,23 +443,24 @@ def _is_bridge(adj: Sequence[int], a: int, b: int) -> bool:
 
 def _knapsack(
     m: int, score: Callable[[Graph], int | None]
-) -> tuple[int, int, int, list[tuple[int, tuple]]]:
+) -> tuple[int, int, list[tuple[int, tuple]]]:
     """Max-plus knapsack over the connected classes with up to m edges.
 
     A graph with m edges and no isolated vertices is a multiset of
     connected classes whose edge counts sum to m.  score(g) is a class's
     value, or None to leave it out.  The table holds, for every e <= m,
     the best total over multisets of scored classes with e edges (-1
-    while there is none), how many reach it, and how many multisets of
-    any classes have e edges (OEIS A000664).  Every part of an optimal
-    multiset is optimal for its own edge count, so the attainers are
-    walked through the table alone; their (vertex count, items) keys
-    are returned sorted, which is canonical-form order.
+    while there is none) and how many multisets of any classes have e
+    edges (OEIS A000664).  Every part of an optimal multiset is optimal
+    for its own edge count, so the attainers are walked through the
+    table alone, each once.  Returns the best total for m, the A000664
+    count for m and the attainers' (vertex count, items) keys, sorted,
+    which is canonical-form order.
     """
     levels = _connected_upto(m)
     # (edge count, component item, representative); a connected form is (n, (item,))
     types = [(j, form[1][0], g) for j in range(m, 0, -1) for form, g in levels[j].items()]
-    best, ways, total = [0] + [-1] * m, [1] + [0] * m, [1] + [0] * m
+    best, total = [0] + [-1] * m, [1] + [0] * m
     # (edge count, score) -> indices into types of the classes scoring so
     by_score: dict[tuple[int, int], list[int]] = {}
     for i, (j, _, g) in enumerate(types):
@@ -363,11 +470,7 @@ def _knapsack(
         for e in range(j, m + 1):  # ascending e: each class may repeat
             total[e] += total[e - j]
             if points is not None and best[e - j] >= 0:
-                value = best[e - j] + points
-                if value > best[e]:
-                    best[e], ways[e] = value, ways[e - j]
-                elif value == best[e]:
-                    ways[e] += ways[e - j]
+                best[e] = max(best[e], best[e - j] + points)
 
     keys: list[tuple[int, tuple]] = []
 
@@ -388,7 +491,7 @@ def _knapsack(
     if best[m] >= 0:
         walk(0, m, [])
     keys.sort()
-    return best[m], ways[m], total[m], keys
+    return best[m], total[m], keys
 
 
 def enumerate_graphs(m: int, *, cap: int | None = DEFAULT_EDGE_CAP) -> Iterator[Graph]:
@@ -401,7 +504,7 @@ def enumerate_graphs(m: int, *, cap: int | None = DEFAULT_EDGE_CAP) -> Iterator[
     if m < 1:
         raise ValueError("m must be at least 1")
     _require_cap(m, cap, "edge count")
-    for n, items in _knapsack(m, lambda g: 0)[3]:
+    for n, items in _knapsack(m, lambda g: 0)[2]:
         yield _graph_from_items(n, items)
 
 
@@ -478,13 +581,13 @@ def brute_force_mex(
     _require_cap(m, cap, "edge count")
     start = time.perf_counter()
     forb_k = _clique_order(forbidden)
-    best, ways, total, keys = _knapsack(
+    best, total, keys = _knapsack(
         m, lambda g: count_cliques(g, s) if _is_free(g, forbidden, forb_k) else None
     )
     return SearchResult(
         optimum=max(best, 0),
         witnesses=tuple(_graph_from_items(n, items) for n, items in keys[:witness_limit]),
-        witness_count=ways,
+        witness_count=len(keys),
         search_space_size=total,
         elapsed=time.perf_counter() - start,
     )
@@ -518,13 +621,15 @@ def brute_force_ex(
     vertices.  Level k gives each class h of level k-1 a vertex k whose
     neighbourhood N in 1..k-1 leaves k of least degree: with δ the least
     degree of h, |N| <= δ+1, and N holds every vertex of degree δ when
-    |N| = δ+1.  The free children are filed under their canonical form.
-    This is exact for every forbidden graph: deleting a least-degree
-    vertex of a free graph leaves a free class of level k-1 (freeness
-    survives vertex deletion), and adding that vertex back is one of the
-    children.  The levels are kept across calls, keyed by the canonical
-    form of the forbidden graph, so a call only extends them up to n.
-    search_space_size counts the free classes on n vertices.
+    |N| = δ+1, one N per orbit of h's automorphisms.  The free children
+    are filed under their canonical form.  This is exact for every
+    forbidden graph: deleting a least-degree vertex of a free graph
+    leaves a free class of level k-1 (freeness survives vertex
+    deletion), adding that vertex back is one of the children, and an
+    automorphism of h carries it to its orbit's leader.  The levels are
+    kept across calls, keyed by the canonical form of the forbidden
+    graph, so a call only extends them up to n.  search_space_size
+    counts the free classes on n vertices.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -546,32 +651,51 @@ _FREE_LEVELS: dict[tuple, list[dict[tuple, Graph]]] = {}
 def _free_upto(n: int, forbidden: Graph) -> list[dict[tuple, Graph]]:
     """The free levels 0..n of brute_force_ex, extended in place in _FREE_LEVELS.
 
-    The 0-vertex seed is not tested for freeness; brute_force_ex reads
-    only the levels n >= 1.
+    A parent tries one neighbourhood per orbit of its automorphisms among
+    those the degree rule allows, and a free child relabels only the
+    component holding the new vertex: the parent's components it does
+    not touch keep their items.  The 0-vertex seed is not tested for
+    freeness; brute_force_ex reads only the levels n >= 1.
     """
     levels = _FREE_LEVELS.setdefault(canonical_form(forbidden), [{(0, ()): Graph(0, (0,))}])
     forb_k = _clique_order(forbidden)
 
-    def children(h: Graph) -> Iterator[tuple[int, ...]]:
+    def children(form: tuple, h: Graph) -> Iterator[tuple]:
         k = h.vertex_count + 1
+        items = form[1]
         deg = [a.bit_count() for a in h.adjacency]
         low = min(deg[1:], default=0)
         lows = sum(1 << v for v in h.vertices() if deg[v] == low)
         succ = [a & -(2 << v) for v, a in enumerate(h.adjacency)]
-        for nbrs in range(0, 1 << k, 2):  # every subset of 1..k-1
-            d = nbrs.bit_count()
-            if d > low + 1 or d == low + 1 and nbrs & lows != lows:
-                continue
+        blocks = []  # (item, mask of its block of labels)
+        base = 0
+        for item in items:
+            blocks.append((item, (1 << item[0]) - 1 << base + 1))
+            base += item[0]
+        allowed = [
+            nbrs
+            for nbrs in range(0, 1 << k, 2)  # every subset of 1..k-1
+            if (d := nbrs.bit_count()) <= low or d == low + 1 and nbrs & lows == lows
+        ]
+        for nbrs in _orbit_leaders(allowed, _class_generators(items), _mask_image):
             # h is free, so a new K_q would contain k: a K_{q-1} in nbrs
             if forb_k is not None and _has_within(succ, nbrs, forb_k - 1):
                 continue
             adj = (*(a | (nbrs >> v & 1) << k for v, a in enumerate(h.adjacency)), nbrs)
             if forb_k is None and contains_subgraph(Graph(k, adj), forbidden):
                 continue
-            yield adj
+            comp = 1 << k
+            kept = []
+            for item, mask in blocks:
+                if mask & nbrs:
+                    comp |= mask
+                else:
+                    kept.append(item)
+            kept.append(_labeled_item(adj, list(_bits(comp))) if nbrs else (1, ()))
+            yield (k, tuple(sorted(kept)))
 
     while len(levels) <= n:
-        levels.append(_grow(levels[-1].values(), children))
+        levels.append(_grow(levels[-1], children))
     return levels
 
 

@@ -133,6 +133,35 @@ class TestExitCodes:
         assert code == 0
         assert json.loads(out)["value"] == 0
 
+    @pytest.mark.parametrize("text", ["1 100000000\n", "n 100001\n1 2\n"], ids=["label", "header"])
+    def test_input_vertex_cap_fails_before_any_graph(self, capsys, tmp_path, monkeypatch, text):
+        def no_graph(*args, **kwargs):
+            raise AssertionError("built a graph past the cap")
+
+        path = tmp_path / "far.edges"
+        path.write_text(text)
+        monkeypatch.setattr(cli.graphs, "graph_from_edges", no_graph)
+        code, out, err = run(capsys, "count", "--input", str(path), "--t", "2")
+        assert (code, out) == (3, "")
+        assert "input vertex count" in err and "MEXKIT_CAP_OVERRIDE=1" in err
+
+    def test_input_vertex_cap_override_env(self, capsys, tmp_path, monkeypatch):
+        path = tmp_path / "far.edges"
+        path.write_text("n 100001\n1 2\n")
+        monkeypatch.setenv("MEXKIT_CAP_OVERRIDE", "1")
+        code, out, _ = run(capsys, "count", "--input", str(path), "--t", "2")
+        assert code == 0
+        assert json.loads(out) == {"n": 100001, "m": 1, "t": 2, "value": 1}
+
+    def test_sparse_input_at_the_vertex_cap(self, capsys, tmp_path):
+        # one edge to the largest label the cap allows: the graph checks
+        # each neighbour mask's range in time for its size, not for n
+        path = tmp_path / "far.edges"
+        path.write_text("1 100000\n")
+        code, out, _ = run(capsys, "count", "--input", str(path), "--t", "2")
+        assert code == 0
+        assert json.loads(out) == {"n": 100000, "m": 1, "t": 2, "value": 1}
+
     def test_cap_is_per_component(self, capsys, tmp_path):
         path = tmp_path / "matching.edges"
         path.write_text("".join(f"{2 * i - 1} {2 * i}\n" for i in range(1, 10)))

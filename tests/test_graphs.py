@@ -62,6 +62,11 @@ class TestGraphFromEdges:
     def test_adjacency_validation(self):
         with pytest.raises(ValueError, match="asymmetric"):
             Graph(2, (0, 0b100, 0))
+        # a bit past n, bit 0 (the padding) and a negative mask
+        for mask in (0b1000, 0b1, -0b100):
+            with pytest.raises(ValueError, match="neighbor of 1 out of range"):
+                Graph(2, (0, mask, 0b10))
+        assert Graph(2, (0, 0b100, 0b10)).edge_count == 1
 
 
 class TestCountCliques:

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations, permutations
 
 import pytest
 
@@ -190,6 +191,112 @@ class TestEnumeration:
             list(enumerate_graphs(11))
         with pytest.raises(ValueError):
             list(enumerate_graphs(0))
+
+
+def _is_automorphism(g, p):
+    return all(g.has_edge(p[u], p[v]) for u, v in g.edges())
+
+
+def _orbits(points, maps, image):
+    """The orbits of points under the group the maps span, as a set of frozensets."""
+    orbits, seen = set(), set()
+    for x in points:
+        if x in seen:
+            continue
+        orbit, stack = {x}, [x]
+        while stack:
+            y = stack.pop()
+            for p in maps:
+                z = image(p, y)
+                if z not in orbit:
+                    orbit.add(z)
+                    stack.append(z)
+        seen |= orbit
+        orbits.add(frozenset(orbit))
+    return orbits
+
+
+def _vertex_and_pair_orbits(n, maps):
+    vertices = range(1, n + 1)
+    pairs = [frozenset(pair) for pair in combinations(vertices, 2)]
+    return (
+        _orbits(vertices, maps, lambda p, v: p[v]),
+        _orbits(pairs, maps, lambda p, pair: frozenset(p[v] for v in pair)),
+    )
+
+
+def _labeled_generators(g):
+    """_class_generators of g's class, from labeling each component of g itself."""
+    found = {}
+    for verts in oracle._component_vertex_lists(g.adjacency):
+        bits, gens = oracle._component_bits(g.adjacency, verts)
+        found[(len(verts), bits)] = gens
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "_AUTOMORPHISMS", found)
+        return oracle._class_generators(canonical_form(g)[1])
+
+
+def _level_classes():
+    """(form, representative) of every class to m = 8 and of the K_3/4/5-free levels to n = 7."""
+    classes = [(canonical_form(g), g) for m in range(1, 9) for g in enumerate_graphs(m)]
+    for k in (3, 4, 5):
+        for level in oracle._free_upto(7, complete_graph(k))[1:]:
+            classes.extend(level.items())
+    return classes
+
+
+class TestAutomorphisms:
+    def test_generators_are_automorphisms(self):
+        # the builders' generators, and those of relabeled copies, which the
+        # search meets at other leaves and moves by another final least leaf
+        rng = random.Random(11)
+        for form, g in _level_classes():
+            for p in oracle._class_generators(form[1]):
+                assert _is_automorphism(g, p), form
+            for p in _labeled_generators(_shuffled(g, rng)):
+                assert _is_automorphism(g, p), form
+        *symmetric, frucht = labeling_hard_graphs()
+        for g in symmetric:
+            rep = canonical_graph(g)
+            for _ in range(3):
+                gens = _labeled_generators(_shuffled(g, rng))
+                assert gens and all(_is_automorphism(rep, p) for p in gens)
+        # the Frucht graph has no automorphism but the identity
+        assert _labeled_generators(_shuffled(frucht, rng)) == []
+
+    def test_orbits_match_all_permutations(self):
+        # every graph on at most 6 vertices, disconnected ones with repeated
+        # components and isolated vertices included
+        rng = random.Random(12)
+        for level in oracle._free_upto(6, complete_graph(7))[1:]:
+            for form, g in level.items():
+                n = g.vertex_count
+                group = [(0, *q) for q in permutations(range(1, n + 1))]
+                want = _vertex_and_pair_orbits(n, [p for p in group if _is_automorphism(g, p)])
+                assert _vertex_and_pair_orbits(n, oracle._class_generators(form[1])) == want, form
+                gens = _labeled_generators(_shuffled(g, rng))
+                assert _vertex_and_pair_orbits(n, gens) == want, form
+
+    def test_pruning_keeps_labelings_down(self, monkeypatch):
+        # cold levels: one labeling per orbit of a parent's automorphisms,
+        # so only children of different parents repeat a class
+        calls = []
+        label = oracle._component_bits
+
+        def counted(adjacency, verts):
+            calls.append(len(verts))
+            return label(adjacency, verts)
+
+        monkeypatch.setattr(oracle, "_component_bits", counted)
+        monkeypatch.setattr(oracle, "_AUTOMORPHISMS", {})
+        monkeypatch.setattr(oracle, "_CONNECTED_LEVELS", oracle._CONNECTED_LEVELS[:1])
+        monkeypatch.setattr(oracle, "_FREE_LEVELS", {})
+        assert sum(map(len, oracle._connected_upto(7)[1:])) == 131
+        assert len(calls) <= 139
+        calls.clear()
+        oracle._free_upto(6, complete_graph(3))
+        oracle._free_upto(6, complete_graph(4))
+        assert len(calls) <= 196
 
 
 class TestBruteForceMex:
