@@ -20,7 +20,7 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import Iterator
+from typing import Callable, Iterator, NoReturn
 
 from . import colex, constructions, extremal, graphs, oracle, processes
 
@@ -30,7 +30,7 @@ EXIT_USAGE = 2
 EXIT_CAP = 3
 
 # OEIS A000664: graphs with m edges and no isolated vertices
-_EXPECTED_GRAPH_COUNTS = [1, 2, 5, 11, 26, 68, 177, 497, 1476, 4613]
+_EXPECTED_GRAPH_COUNTS = [1, 2, 5, 11, 26, 68, 177, 497, 1476, 4613, 15216, 52944]
 
 # largest vertex count (top label or ``n`` header) an input file may give;
 # a graph holds one neighbour mask per vertex, so a stray label like
@@ -246,15 +246,14 @@ def _cmd_verify_zykov(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify_shadows(args: argparse.Namespace) -> int:
+    cap = _cap(oracle.DEFAULT_FAMILY_CAP)
+    sizes = range(args.size_max + 1)
+    oracle._check_min_shadow(args.n, args.k, sizes, args.p, args.r, cap)  # before any line
+
     def rows() -> Iterator[tuple[bool, str]]:
-        for size in range(args.size_max + 1):
+        for size in sizes:
             brute = oracle.brute_force_min_shadow(
-                args.n,
-                args.k,
-                size,
-                args.p,
-                r_colorable=args.r,
-                cap=_cap(oracle.DEFAULT_FAMILY_CAP),
+                args.n, args.k, size, args.p, r_colorable=args.r, cap=cap
             )
             if args.r is None:
                 closed = colex.kk_min_shadow(args.k, size, args.p)
@@ -310,10 +309,12 @@ def _cmd_verify_enumeration(args: argparse.Namespace) -> int:
         raise ValueError(
             f"reference counts available only for m <= {len(_EXPECTED_GRAPH_COUNTS)}"
         )
+    cap = _cap(oracle.DEFAULT_EDGE_CAP)
+    oracle._require_cap(args.m_max, cap, "edge count")  # before printing any line
 
     def rows() -> Iterator[tuple[bool, str]]:
         for m in range(1, args.m_max + 1):
-            got = sum(1 for _ in oracle.enumerate_graphs(m, cap=_cap(oracle.DEFAULT_EDGE_CAP)))
+            got = sum(1 for _ in oracle.enumerate_graphs(m, cap=cap))
             want = _EXPECTED_GRAPH_COUNTS[m - 1]
             yield got == want, f"m={m} enumerated={got} expected={want}"
 
@@ -470,199 +471,198 @@ def _cmd_process_constants(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
+# plain classes: a NamedTuple would cost every import of this module a
+# third of a millisecond to build
+class _Command:
+    """A handler, its argument specs in the order help lists them, and its help line."""
+
+    __slots__ = ("handler", "args", "help")
+
+    def __init__(
+        self, handler: Callable[[argparse.Namespace], int], args: tuple, help: str | None = None
+    ) -> None:
+        self.handler, self.args, self.help = handler, args, help
+
+
+class _Group:
+    """A help line, the dest that names the chosen command, and the commands."""
+
+    __slots__ = ("help", "dest", "commands")
+
+    def __init__(self, help: str, dest: str, commands: dict[str, _Command]) -> None:
+        self.help, self.dest, self.commands = help, dest, commands
+
+
+# An argument spec is a bare flag, for a required int; a (flag, add_argument
+# keywords) pair; or a list of such pairs, for a required mutually exclusive
+# group.  argparse derives each dest from its flag.
+_INPUT = ("--input", {"required": True})
+_INPUT_FILE = ("--input", {"required": True, "help": "edge-list file ('-' for stdin)"})
+_EPSILON = ("--epsilon", {"type": float, "required": True})
+_GRAPH_FORMAT = ("--format", {"choices": ("edges", "json"), "default": "edges"})
+_FORBID = [("--forbid-clique", {"type": int}), ("--forbid-file", {})]
+_SEARCH_OUTPUT = (("--timing", {"action": "store_true"}), ("--witnesses-dir", {}))
+_PROCESS_RUN = _Command(
+    _cmd_process_run,
+    (
+        _INPUT, "--s", "--r", _EPSILON,
+        ("--coefficient", {"type": float}),
+        ("--exponent", {"type": float}),
+        ("--budget", {"type": int}),
+    ),
+)
+
+# every command, in the order `mexkit -h` lists them; a group's commands
+# get no help line of their own
+_COMMANDS: dict[str, _Command | _Group] = {
+    "construct": _Group("build a named graph", "kind", {
+        "turan": _Command(_cmd_construct, ("--r", "--n", _GRAPH_FORMAT)),
+        "colex": _Command(_cmd_construct, ("--m", _GRAPH_FORMAT)),
+        "ct": _Command(_cmd_construct, ("--r", "--m", _GRAPH_FORMAT)),
+        "blowup": _Command(_cmd_construct, (_INPUT_FILE, "--t", _GRAPH_FORMAT)),
+        "gadget": _Command(_cmd_construct, ("--r", "--m", _GRAPH_FORMAT)),
+    }),
+    "count": _Command(_cmd_count, (
+        _INPUT_FILE,
+        ("--t", {"type": int, "help": "count t-cliques"}),
+        ("--profile", {"action": "store_true", "help": "full clique profile"}),
+        ("--vertex", {"type": int, "help": "count s-cliques at this vertex"}),
+        ("--edge", {"type": int, "nargs": 2, "metavar": ("U", "V")}),
+        ("--min-degrees", {"action": "store_true"}),
+        ("--s", {"type": int, "default": 3}),
+    ), "exact clique counts of a graph file"),
+    "mex": _Command(_cmd_mex, (
+        ("--m", {"type": int}), "--s", "--r",
+        ("--profile", {"action": "store_true"}),
+        ("--m-max", {"type": int}),
+        ("--format", {"choices": ("json", "csv")}),
+    ), "extremal s-clique count at fixed edge count"),
+    "ex": _Command(_cmd_ex, ("--n", "--t", "--r"), "extremal t-clique count at fixed vertex count"),
+    "bound": _Command(_cmd_bound, ("--m", "--s"), "clique-count upper bound from the edge count"),
+    "constants": _Command(_cmd_constants, ("--r", "--s"), "the exact constants and their squares"),
+    "verify": _Group("check a theorem instance exhaustively; exit 1 on failure", "subject", {
+        "frohmader": _Command(_cmd_verify_frohmader, ("--r", "--s", "--m-max")),
+        "zykov": _Command(_cmd_verify_zykov, ("--r", "--t", "--n-max")),
+        "shadows": _Command(_cmd_verify_shadows, (
+            "--n", "--k", "--p", "--size-max",
+            ("--r", {"type": int, "help": "restrict to r-colorable families"}),
+        )),
+        "closed-form": _Command(_cmd_verify_closed_form, ("--r-max", "--n-max")),
+        "constants": _Command(_cmd_verify_constants, ("--r-max",)),
+        "gadget": _Command(
+            _cmd_verify_gadget, ("--r", "--m", ("--s", {"type": int, "default": 3}))
+        ),
+        "enumeration": _Command(_cmd_verify_enumeration, ("--m-max",)),
+    }),
+    "search": _Group("run a brute-force search", "target", {
+        "mex": _Command(_cmd_search_mex, ("--m", "--s", _FORBID, *_SEARCH_OUTPUT)),
+        "ex": _Command(_cmd_search_ex, ("--n", "--t", _FORBID, *_SEARCH_OUTPUT)),
+        "min-shadow": _Command(_cmd_search_min_shadow, (
+            "--n", "--k", "--size", "--p", ("--r", {"type": int}),
+        )),
+        "min-edits": _Command(_cmd_search_min_edits, (_INPUT, "--r")),
+        "blowup": _Command(_cmd_search_blowup, (_INPUT, "--parts", "--t")),
+    }),
+    "process": _Group("run a deletion process and print its trace", "procedure", {
+        "edge": _PROCESS_RUN,
+        "vertex": _PROCESS_RUN,
+        "stability": _Command(_cmd_process_stability, (_INPUT, "--r", "--s", _EPSILON)),
+        "constants": _Command(_cmd_process_constants, ("--r", "--s", _EPSILON)),
+    }),
+}
+
+
+class _Reparse(Exception):
+    """A path-only parser met a usage error, which the full parser reports."""
+
+
+class _PathParser(argparse.ArgumentParser):
+    def error(self, message: str) -> NoReturn:
+        raise _Reparse
+
+
+def _add_arguments(p: argparse.ArgumentParser, command: _Command) -> None:
+    for spec in command.args:
+        if isinstance(spec, str):
+            p.add_argument(spec, type=int, required=True)
+        elif isinstance(spec, list):
+            group = p.add_mutually_exclusive_group(required=True)
+            for flag, keywords in spec:
+                group.add_argument(flag, **keywords)
+        else:
+            p.add_argument(spec[0], **spec[1])
+    p.set_defaults(handler=command.handler)
+
+
+def build_parser(path: tuple[str, ...] | None = None) -> argparse.ArgumentParser:
+    """The mexkit parser of every command, or the parser of the one command at path's end.
+
+    Each add_argument costs a help formatter, so the full parser costs
+    milliseconds and one command's a twentieth of that.  A command's
+    parser is the full parser's leaf (same prog, same arguments) and
+    parses the arguments after path; it sets the names the full parser's
+    top and group levels would, so both give the same namespace.  It
+    reports no usage error: it raises _Reparse, and main parses again
+    with the full parser, whose messages and usage lines are today's.
+    """
+    if path is not None:
+        entry = _COMMANDS[path[0]]
+        p = _PathParser(prog=" ".join(("mexkit", *path)))
+        if isinstance(entry, _Group):
+            p.set_defaults(**{entry.dest: path[1]})
+            entry = entry.commands[path[1]]
+        _add_arguments(p, entry)
+        p.set_defaults(command=path[0])
+        return p
     parser = argparse.ArgumentParser(
         prog="mexkit",
         description="extremal graph constructions, exact clique counts, and brute-force verification",
     )
     sub = parser.add_subparsers(dest="command")
-
-    # construct
-    construct = sub.add_parser("construct", help="build a named graph")
-    csub = construct.add_subparsers(dest="kind", required=True)
-    for kind, flags in (
-        ("turan", ("r", "n")),
-        ("colex", ("m",)),
-        ("ct", ("r", "m")),
-        ("blowup", ("input", "t")),
-        ("gadget", ("r", "m")),
-    ):
-        p = csub.add_parser(kind)
-        for flag in flags:
-            if flag == "input":
-                p.add_argument("--input", required=True, help="edge-list file ('-' for stdin)")
-            else:
-                p.add_argument(f"--{flag}", type=int, required=True)
-        p.add_argument("--format", choices=("edges", "json"), default="edges")
-        p.set_defaults(handler=_cmd_construct)
-
-    # count
-    count = sub.add_parser("count", help="exact clique counts of a graph file")
-    count.add_argument("--input", required=True, help="edge-list file ('-' for stdin)")
-    count.add_argument("--t", type=int, help="count t-cliques")
-    count.add_argument("--profile", action="store_true", help="full clique profile")
-    count.add_argument("--vertex", type=int, help="count s-cliques at this vertex")
-    count.add_argument("--edge", type=int, nargs=2, metavar=("U", "V"))
-    count.add_argument("--min-degrees", action="store_true", dest="min_degrees")
-    count.add_argument("--s", type=int, default=3)
-    count.set_defaults(handler=_cmd_count)
-
-    # mex / ex / bound / constants
-    mex = sub.add_parser("mex", help="extremal s-clique count at fixed edge count")
-    mex.add_argument("--m", type=int)
-    mex.add_argument("--s", type=int, required=True)
-    mex.add_argument("--r", type=int, required=True)
-    mex.add_argument("--profile", action="store_true")
-    mex.add_argument("--m-max", type=int, dest="m_max")
-    mex.add_argument("--format", choices=("json", "csv"), default=None)
-    mex.set_defaults(handler=_cmd_mex)
-
-    ex = sub.add_parser("ex", help="extremal t-clique count at fixed vertex count")
-    ex.add_argument("--n", type=int, required=True)
-    ex.add_argument("--t", type=int, required=True)
-    ex.add_argument("--r", type=int, required=True)
-    ex.set_defaults(handler=_cmd_ex)
-
-    bound = sub.add_parser("bound", help="clique-count upper bound from the edge count")
-    bound.add_argument("--m", type=int, required=True)
-    bound.add_argument("--s", type=int, required=True)
-    bound.set_defaults(handler=_cmd_bound)
-
-    constants = sub.add_parser("constants", help="the exact constants and their squares")
-    constants.add_argument("--r", type=int, required=True)
-    constants.add_argument("--s", type=int, required=True)
-    constants.set_defaults(handler=_cmd_constants)
-
-    # verify
-    verify = sub.add_parser("verify", help="check a theorem instance exhaustively; exit 1 on failure")
-    vsub = verify.add_subparsers(dest="subject", required=True)
-
-    vf = vsub.add_parser("frohmader")
-    vf.add_argument("--r", type=int, required=True)
-    vf.add_argument("--s", type=int, required=True)
-    vf.add_argument("--m-max", type=int, required=True, dest="m_max")
-    vf.set_defaults(handler=_cmd_verify_frohmader)
-
-    vz = vsub.add_parser("zykov")
-    vz.add_argument("--r", type=int, required=True)
-    vz.add_argument("--t", type=int, required=True)
-    vz.add_argument("--n-max", type=int, required=True, dest="n_max")
-    vz.set_defaults(handler=_cmd_verify_zykov)
-
-    vs = vsub.add_parser("shadows")
-    vs.add_argument("--n", type=int, required=True)
-    vs.add_argument("--k", type=int, required=True)
-    vs.add_argument("--p", type=int, required=True)
-    vs.add_argument("--size-max", type=int, required=True, dest="size_max")
-    vs.add_argument("--r", type=int, default=None, help="restrict to r-colorable families")
-    vs.set_defaults(handler=_cmd_verify_shadows)
-
-    vc = vsub.add_parser("closed-form")
-    vc.add_argument("--r-max", type=int, required=True, dest="r_max")
-    vc.add_argument("--n-max", type=int, required=True, dest="n_max")
-    vc.set_defaults(handler=_cmd_verify_closed_form)
-
-    vk = vsub.add_parser("constants")
-    vk.add_argument("--r-max", type=int, required=True, dest="r_max")
-    vk.set_defaults(handler=_cmd_verify_constants)
-
-    vg = vsub.add_parser("gadget")
-    vg.add_argument("--r", type=int, required=True)
-    vg.add_argument("--m", type=int, required=True)
-    vg.add_argument("--s", type=int, default=3)
-    vg.set_defaults(handler=_cmd_verify_gadget)
-
-    ve = vsub.add_parser("enumeration")
-    ve.add_argument("--m-max", type=int, required=True, dest="m_max")
-    ve.set_defaults(handler=_cmd_verify_enumeration)
-
-    # search
-    search = sub.add_parser("search", help="run a brute-force search")
-    ssub = search.add_subparsers(dest="target", required=True)
-
-    sm = ssub.add_parser("mex")
-    sm.add_argument("--m", type=int, required=True)
-    sm.add_argument("--s", type=int, required=True)
-    _add_forbid_flags(sm)
-    _add_search_flags(sm)
-    sm.set_defaults(handler=_cmd_search_mex)
-
-    se = ssub.add_parser("ex")
-    se.add_argument("--n", type=int, required=True)
-    se.add_argument("--t", type=int, required=True)
-    _add_forbid_flags(se)
-    _add_search_flags(se)
-    se.set_defaults(handler=_cmd_search_ex)
-
-    sms = ssub.add_parser("min-shadow")
-    sms.add_argument("--n", type=int, required=True)
-    sms.add_argument("--k", type=int, required=True)
-    sms.add_argument("--size", type=int, required=True)
-    sms.add_argument("--p", type=int, required=True)
-    sms.add_argument("--r", type=int, default=None)
-    sms.set_defaults(handler=_cmd_search_min_shadow)
-
-    sme = ssub.add_parser("min-edits")
-    sme.add_argument("--input", required=True)
-    sme.add_argument("--r", type=int, required=True)
-    sme.set_defaults(handler=_cmd_search_min_edits)
-
-    sb = ssub.add_parser("blowup")
-    sb.add_argument("--input", required=True)
-    sb.add_argument("--parts", type=int, required=True)
-    sb.add_argument("--t", type=int, required=True)
-    sb.set_defaults(handler=_cmd_search_blowup)
-
-    # process
-    process = sub.add_parser("process", help="run a deletion process and print its trace")
-    psub = process.add_subparsers(dest="procedure", required=True)
-
-    for name in ("edge", "vertex"):
-        pp = psub.add_parser(name)
-        pp.add_argument("--input", required=True)
-        pp.add_argument("--s", type=int, required=True)
-        pp.add_argument("--r", type=int, required=True)
-        pp.add_argument("--epsilon", type=float, required=True)
-        pp.add_argument("--coefficient", type=float, default=None)
-        pp.add_argument("--exponent", type=float, default=None)
-        pp.add_argument("--budget", type=int, default=None)
-        pp.set_defaults(handler=_cmd_process_run)
-
-    ps = psub.add_parser("stability")
-    ps.add_argument("--input", required=True)
-    ps.add_argument("--r", type=int, required=True)
-    ps.add_argument("--s", type=int, required=True)
-    ps.add_argument("--epsilon", type=float, required=True)
-    ps.set_defaults(handler=_cmd_process_stability)
-
-    pc = psub.add_parser("constants")
-    pc.add_argument("--r", type=int, required=True)
-    pc.add_argument("--s", type=int, required=True)
-    pc.add_argument("--epsilon", type=float, required=True)
-    pc.set_defaults(handler=_cmd_process_constants)
-
+    for name, entry in _COMMANDS.items():
+        if isinstance(entry, _Group):
+            group_sub = sub.add_parser(name, help=entry.help).add_subparsers(
+                dest=entry.dest, required=True
+            )
+            for command_name, command in entry.commands.items():
+                _add_arguments(group_sub.add_parser(command_name), command)
+        else:
+            _add_arguments(sub.add_parser(name, help=entry.help), entry)
     return parser
 
 
-def _add_forbid_flags(p: argparse.ArgumentParser) -> None:
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--forbid-clique", type=int, default=None, dest="forbid_clique")
-    group.add_argument("--forbid-file", default=None, dest="forbid_file")
+def _command_path(argv: list[str]) -> tuple[str, ...] | None:
+    """The command path argv starts with: a direct command, or a group and one of its commands.
+
+    None for anything else (no command, a help or other flag before the
+    command, an unknown name), which only the full parser can answer.
+    """
+    entry = _COMMANDS.get(argv[0]) if argv else None
+    if isinstance(entry, _Command):
+        return (argv[0],)
+    if isinstance(entry, _Group) and len(argv) > 1 and argv[1] in entry.commands:
+        return (argv[0], argv[1])
+    return None
 
 
-def _add_search_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--timing", action="store_true")
-    p.add_argument("--witnesses-dir", default=None, dest="witnesses_dir")
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    path = _command_path(argv)
+    if path is not None:
+        try:
+            return build_parser(path).parse_args(argv[len(path) :])
+        except _Reparse:
+            pass
+    return build_parser().parse_args(argv)
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = parser.parse_args(argv)
+        args = _parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else EXIT_OK
     if not hasattr(args, "handler"):
-        parser.print_help()
+        build_parser().print_help()
         return EXIT_USAGE
     try:
         return args.handler(args)

@@ -163,6 +163,18 @@ class CliqueProfile:
         return len(self.counts)
 
 
+def _trusted_graph(n: int, adjacency: tuple[int, ...]) -> Graph:
+    """A Graph on adjacency that is padded, in range and symmetric by construction, unchecked.
+
+    For builders that set every edge's two bits together, such as the
+    oracle's canonical representatives; input goes through Graph(...).
+    """
+    g = object.__new__(Graph)
+    object.__setattr__(g, "vertex_count", n)
+    object.__setattr__(g, "adjacency", adjacency)
+    return g
+
+
 def graph_from_edges(
     edges: Iterable[Iterable[int]], explicit_vertex_count: int | None = None
 ) -> Graph:

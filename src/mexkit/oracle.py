@@ -24,6 +24,7 @@ from .graphs import (
     _bits,
     _colex_edges,
     _has_within,
+    _trusted_graph,
     _vertex_mask,
     contains_clique,
     contains_subgraph,
@@ -262,7 +263,7 @@ def _graph_from_items(n: int, items: tuple[tuple[int, tuple[int, ...]], ...]) ->
                     adj[v] |= 1 << u
                 idx += 1
         base += size
-    return Graph(n, tuple(adj))
+    return _trusted_graph(n, tuple(adj))
 
 
 def canonical_graph(g: Graph) -> Graph:
@@ -704,6 +705,61 @@ def _free_upto(n: int, forbidden: Graph) -> list[dict[tuple, Graph]]:
 # ---------------------------------------------------------------------------
 
 
+def _check_min_shadow(
+    n: int, k: int, sizes: range, p: int, r_colorable: int | None, cap: int | None
+) -> None:
+    """Raise what brute_force_min_shadow raises first over sizes, in order, without a search.
+
+    Per size its checks are 1 <= p < k <= n, 0 <= size <= C(n, k), the
+    family cap on C(C(n, k), size) and, from size 1 on, the colouring:
+    r >= 1, min(r, n) >= k, the cap on min(r, n)^n, and size at most
+    e_k of the balanced min(r, n)-partition of [n], which is the most
+    k-sets any one colouring admits (e_k only grows as two parts are
+    evened out).  Past C(n, k)/2 the family count only falls, so the
+    scan stops there.  An empty range checks nothing.
+    """
+    if not sizes:
+        return
+    if not 1 <= p < k <= n:
+        raise ValueError(f"need 1 <= p < k <= n, got p={p}, k={k}, n={n}")
+    total = comb(n, k)
+    most = None  # the largest size a qualifying family can have
+    for size in sizes:
+        if not 0 <= size <= total:
+            raise ValueError(f"size must lie in 0..{total}")
+        _require_cap(comb(total, size), cap, "family search space")
+        if size == 0:
+            continue
+        if most is None:
+            most = total if r_colorable is None else _colorable_most(n, k, r_colorable, cap)
+        if size > most:
+            raise ValueError("no qualifying family exists at this size")
+        if cap is None or 2 * size >= total:
+            if sizes[-1] > most:
+                raise ValueError(
+                    "no qualifying family exists at this size"
+                    if most < total
+                    else f"size must lie in 0..{total}"
+                )
+            return
+
+
+def _colorable_most(n: int, k: int, r_colorable: int, cap: int | None) -> int:
+    """e_k of the balanced min(r, n)-partition of [n], after the colouring checks."""
+    if r_colorable < 1:
+        raise ValueError("r_colorable must be at least 1")
+    r = min(r_colorable, n)
+    if r < k:
+        raise ValueError(f"no {r_colorable}-colorable family of {k}-sets exists")
+    _require_cap(r**n, cap, "coloring assignment space")
+    e = [1] + [0] * k
+    for part in range(r):
+        size = (n + part) // r
+        for j in range(k, 0, -1):
+            e[j] += size * e[j - 1]
+    return e[k]
+
+
 def brute_force_min_shadow(
     n: int,
     k: int,
@@ -717,25 +773,16 @@ def brute_force_min_shadow(
 
     With r_colorable set, the minimum runs over families admitting a
     partition of [n] into r parts that every member meets at most once
-    (checked exhaustively over part assignments).
+    (checked exhaustively over part assignments).  Every ValueError and
+    CapExceededError comes from _check_min_shadow, before the search.
     """
-    if not 1 <= p < k <= n:
-        raise ValueError(f"need 1 <= p < k <= n, got p={p}, k={k}, n={n}")
-    if not 0 <= size <= comb(n, k):
-        raise ValueError(f"size must lie in 0..{comb(n, k)}")
-    _require_cap(comb(comb(n, k), size), cap, "family search space")
+    _check_min_shadow(n, k, range(size, size + 1), p, r_colorable, cap)
     if size == 0:
         return 0
     all_sets = list(combinations(range(1, n + 1), k))
     set_masks: dict[tuple[int, ...], int] | None = None
     if r_colorable is not None:
-        if r_colorable < 1:
-            raise ValueError("r_colorable must be at least 1")
-        r = min(r_colorable, n)
-        if r < k:
-            raise ValueError(f"no {r_colorable}-colorable family of {k}-sets exists")
-        _require_cap(r**n, cap, "coloring assignment space")
-        colorings = list(product(range(r), repeat=n))
+        colorings = list(product(range(min(r_colorable, n)), repeat=n))
         set_masks = {}
         for s in all_sets:
             mask = 0
@@ -756,8 +803,6 @@ def brute_force_min_shadow(
         shad = {sub for s in family for sub in combinations(s, p)}
         if best is None or len(shad) < best:
             best = len(shad)
-    if best is None:
-        raise ValueError("no qualifying family exists at this size")
     return best
 
 

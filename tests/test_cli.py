@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -211,6 +212,50 @@ class TestVerifySubcommands:
         code, out, _ = run(capsys, "verify", "frohmader", "--r", "3", "--s", "3", "--m-max", "4")
         assert code == 0
         assert out.count("ok") == 5
+
+    @pytest.mark.parametrize(
+        "argv, code, err",
+        [
+            (("--n", "4", "--k", "3", "--p", "2", "--size-max", "5"), 2, "size must lie in 0..4"),
+            (
+                ("--n", "6", "--k", "3", "--p", "2", "--size-max", "3", "--r", "2"),
+                2,
+                "no 2-colorable family of 3-sets exists",
+            ),
+            (
+                ("--n", "8", "--k", "3", "--p", "2", "--size-max", "12"),
+                3,
+                "family search space 32468436 exceeds the safety cap 10000000; "
+                "pass cap=None (CLI: MEXKIT_CAP_OVERRIDE=1) to override",
+            ),
+            (
+                ("--n", "5", "--k", "3", "--p", "2", "--size-max", "6", "--r", "3"),
+                2,
+                "no qualifying family exists at this size",
+            ),
+        ],
+        ids=["size bound", "colourable", "family cap", "largest colourable family"],
+    )
+    def test_shadows_fail_before_any_row(self, capsys, monkeypatch, argv, code, err):
+        monkeypatch.delenv("MEXKIT_CAP_OVERRIDE", raising=False)
+        assert run(capsys, "verify", "shadows", *argv) == (code, "", f"error: {err}\n")
+
+    @pytest.mark.parametrize(
+        "m_max, code, err",
+        [
+            ("11", 3, "edge count 11 exceeds the safety cap 10"),
+            ("13", 2, "reference counts available only for m <= 12"),
+        ],
+    )
+    def test_enumeration_fails_before_any_row(self, capsys, monkeypatch, m_max, code, err):
+        def no_search(*args, **kwargs):
+            raise AssertionError("enumerated past a check")
+
+        monkeypatch.delenv("MEXKIT_CAP_OVERRIDE", raising=False)
+        monkeypatch.setattr(cli.oracle, "enumerate_graphs", no_search)
+        got = run(capsys, "verify", "enumeration", "--m-max", m_max)
+        assert got[:2] == (code, "")
+        assert got[2].startswith(f"error: {err}")
 
     def test_enumeration_to_the_edge_cap(self, capsys):
         code, out, _ = run(capsys, "verify", "enumeration", "--m-max", "10")
@@ -460,6 +505,94 @@ class TestProcess:
         payload = json.loads(out)
         assert payload["epsilon_prime"] == pytest.approx(0.1 / 49)
         assert 0 < payload["rho"] < 1
+
+
+def _command_paths():
+    for name, entry in cli._COMMANDS.items():
+        if isinstance(entry, cli._Command):
+            yield (name,), entry
+        else:
+            for command_name, command in entry.commands.items():
+                yield (name, command_name), command
+
+
+def _valid_flags(command):
+    # a value for every required argument, and an int flag to spoil
+    flags, int_flag = [], None
+    for spec in command.args:
+        if isinstance(spec, str):
+            flags += [spec, "1"]
+            int_flag = int_flag or spec
+        elif isinstance(spec, list):
+            flags += [spec[0][0], "3"]
+        else:
+            flag, keywords = spec
+            if keywords.get("type") is int:
+                int_flag = int_flag or flag
+            if keywords.get("required"):
+                flags += [flag, "0.1" if keywords.get("type") is float else "g.edges"]
+    return flags, int_flag
+
+
+def _path_corpus():
+    for path, command in _command_paths():
+        flags, int_flag = _valid_flags(command)
+        name = " ".join(path)
+        yield pytest.param([*path, "-h"], id=f"{name} -h")
+        yield pytest.param([*path, *flags[2:]], id=f"{name} missing")
+        yield pytest.param([*path, *flags, int_flag, "x"], id=f"{name} bad int")
+        yield pytest.param([*path, *flags, "--bogus"], id=f"{name} unknown flag")
+    for argv in (
+        [], ["-h"], ["verify"], ["verify", "-h"], ["bogus"], ["verify", "bogus"], ["--", "mex"]
+    ):
+        yield pytest.param(argv, id=" ".join(argv) or "empty")
+
+
+class TestParserPaths:
+    @pytest.mark.parametrize("argv", _path_corpus())
+    def test_same_bytes_as_the_full_parser(self, capsys, monkeypatch, argv):
+        got = run(capsys, *argv)
+        monkeypatch.setattr(cli, "_command_path", lambda argv: None)
+        assert got == run(capsys, *argv)
+
+    def test_same_namespace_as_the_full_parser(self):
+        for path, command in _command_paths():
+            flags, _ = _valid_flags(command)
+            got = cli.build_parser(path).parse_args(flags)
+            assert vars(got) == vars(cli.build_parser().parse_args([*path, *flags])), path
+
+    @pytest.mark.parametrize(
+        "argv, most",
+        [
+            (["verify", "frohmader", "--r", "3", "--s", "3", "--m-max", "2"], 1),
+            (["mex", "--m", "5", "--s", "3", "--r", "3"], 1),
+        ],
+    )
+    def test_builds_only_the_command_parser(self, capsys, monkeypatch, argv, most):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        assert run(capsys, *argv)[0] == 0
+        assert len(built) <= most
+
+
+def test_python_dash_m_mexkit_is_the_cli():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    argv = ["verify", "gadget", "--r", "3", "--m", "24"]
+    got, want = (
+        subprocess.run(
+            [sys.executable, "-m", module, *argv], capture_output=True, text=True, env=env
+        )
+        for module in ("mexkit", "mexkit.cli")
+    )
+    assert (got.returncode, got.stdout) == (want.returncode, want.stdout)
+    assert want.returncode == 0 and "gadget=21" in want.stdout
 
 
 def test_import_leaves_process_machinery_unloaded():

@@ -1,5 +1,6 @@
 import random
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
+from math import comb
 
 import pytest
 
@@ -245,6 +246,18 @@ def _level_classes():
     return classes
 
 
+class TestTrustedRepresentatives:
+    def test_checked_constructor_accepts_every_representative(self):
+        # the levels build their representatives unchecked; the checked
+        # constructor must accept each one and give back an equal graph
+        levels = oracle._connected_upto(8) + oracle._free_upto(7, complete_graph(4))
+        reps = [g for level in levels for g in level.values()]
+        assert len(reps) > 1000
+        for g in reps:
+            assert type(g.adjacency) is tuple
+            assert Graph(g.vertex_count, g.adjacency) == g
+
+
 class TestAutomorphisms:
     def test_generators_are_automorphisms(self):
         # the builders' generators, and those of relabeled copies, which the
@@ -374,8 +387,9 @@ class TestBruteForceMex:
                 assert fields(fast) == fields(slow), (m, s)
 
     def test_search_space_is_a000664(self):
-        # the knapsack counts the classes with m edges instead of listing them
-        for m, want in enumerate(_EXPECTED_GRAPH_COUNTS, start=1):
+        # the knapsack counts the classes with m edges instead of listing them;
+        # the reference counts run past the edge cap, which bounds this check
+        for m, want in enumerate(_EXPECTED_GRAPH_COUNTS[:DEFAULT_EDGE_CAP], start=1):
             assert brute_force_mex(m, 2, complete_graph(3)).search_space_size == want
 
     def test_cap_and_validation(self):
@@ -502,6 +516,60 @@ class TestBruteForceMinShadow:
             brute_force_min_shadow(6, 3, 2, 3)
         with pytest.raises(ValueError):
             brute_force_min_shadow(6, 3, 2, 2, r_colorable=2)
+        # 3-colourings of [5] and of [6] make at most 4 and 8 rainbow 3-sets
+        with pytest.raises(ValueError, match="no qualifying family"):
+            brute_force_min_shadow(5, 3, 5, 2, r_colorable=3)
+        with pytest.raises(ValueError, match="no qualifying family"):
+            brute_force_min_shadow(6, 3, 9, 2, r_colorable=3)
+
+    def test_colorable_most_matches_all_colourings(self):
+        # the largest qualifying family: the most k-sets one colouring of
+        # [n] with min(r, n) colours makes rainbow
+        for n in range(2, 6):
+            for k in range(2, n + 1):
+                for r in range(k, n + 2):
+                    rr = min(r, n)
+                    want = max(
+                        sum(len({c[x] for x in s}) == k for s in combinations(range(n), k))
+                        for c in product(range(rr), repeat=n)
+                    )
+                    assert oracle._colorable_most(n, k, r, None) == want, (n, k, r)
+
+    def test_range_check_is_the_first_failing_size(self):
+        # checking sizes 0..size_max at once raises what the first size
+        # to fail would raise on its own, and nothing when none fails
+        def outcome(check):
+            try:
+                check()
+            except (ValueError, CapExceededError) as exc:
+                return type(exc), str(exc)
+            return None
+
+        seen = set()
+        for n in range(1, 7):
+            for k in range(1, n + 2):
+                for p in (1, 2):
+                    for r in (None, 0, 1, 2, 3, 9):
+                        for cap in (None, 1, 30, 10**4):
+                            for size_max in range(-1, comb(n, k) + 3 if k <= n else 3):
+                                args = (n, k, p, r, cap)
+                                first = None
+                                for size in range(size_max + 1):
+                                    first = outcome(
+                                        lambda: oracle._check_min_shadow(
+                                            n, k, range(size, size + 1), p, r, cap
+                                        )
+                                    )
+                                    if first:
+                                        break
+                                got = outcome(
+                                    lambda: oracle._check_min_shadow(
+                                        n, k, range(size_max + 1), p, r, cap
+                                    )
+                                )
+                                assert got == first, (args, size_max)
+                                seen.add(first and first[1].split()[0])
+        assert {"size", "family", "no", "r_colorable", "coloring", "need", None} <= seen
 
 
 class TestMinEdits:
