@@ -10,14 +10,12 @@ plain equality on the non-isolated part.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import count, islice
 from math import isqrt
-from typing import Iterator
 
 # colex_unrank is no longer called here; the binding stays because
 # perfbench/tests/test_tracer.py checks that the tracer patches it here.
 from .colex import colex_unrank  # noqa: F401
-from .graphs import Graph, _bits, graph_from_edges
+from .graphs import Graph, _bits, _trusted_graph, _vertex_mask
 
 __all__ = [
     "GadgetParams",
@@ -58,17 +56,29 @@ class TuranSpec:
         return (self.n * self.n - self.r * a * a - big * (2 * a + 1)) // 2
 
 
-def turan_graph(r: int, n: int) -> Graph:
-    """Complete r-partite graph on [n], parts assigned by residue class."""
-    spec = TuranSpec(r, n)
-    adj = [0] * (n + 1)
+def _residue_classes(r: int, n: int) -> list[int]:
+    """Masks of the vertices 1..n by residue class: entry c holds every v with (v - 1) % r == c.
+
+    Only the min(r, n) classes that meet [n] are listed.
+    """
+    classes = [0] * min(r, n)
     for v in range(1, n + 1):
-        for u in range(1, v):
-            if (u - 1) % r != (v - 1) % r:
-                adj[u] |= 1 << v
-                adj[v] |= 1 << u
+        classes[(v - 1) % r] |= 1 << v
+    return classes
+
+
+def turan_graph(r: int, n: int) -> Graph:
+    """Complete r-partite graph on [n], parts assigned by residue class.
+
+    Each vertex is joined to every vertex outside its class, one mask
+    operation per vertex.
+    """
+    spec = TuranSpec(r, n)
+    classes = _residue_classes(r, n)
+    everyone = _vertex_mask(n)
+    adj = (0, *(everyone & ~classes[(v - 1) % r] for v in range(1, n + 1)))
     assert sum(m.bit_count() for m in adj) // 2 == spec.edge_count
-    return Graph(n, tuple(adj))
+    return _trusted_graph(n, adj)
 
 
 def turan_number(r: int, n: int) -> int:
@@ -92,28 +102,63 @@ def complete_graph(n: int) -> Graph:
     return turan_graph(max(n, 1), n)
 
 
-def _colex_pairs() -> Iterator[tuple[int, int]]:
-    """Every 2-set (u, v) with u < v, in colex order: by v, then by u."""
-    for v in count(2):
-        for u in range(1, v):
-            yield (u, v)
+def _colex_prefix(r: int, m: int) -> Graph:
+    """Graph of the first m pairs u < v, in colex order, whose ends differ mod r.
+
+    Colex order lists the pairs by v, then by u, so it is a walk over
+    rows: row v is every u < v outside v's residue class, which holds
+    (v - 1) - (v - 1) // r of them.  Whole rows are taken while more
+    than a row's worth of pairs is left, then the lowest `left` bits of
+    the next row, that of vertex n.  Every u < n is then joined to all of
+    1..n-1 outside its class, and to n if it is in the last row.  With
+    r >= n every class is a single vertex and no pair is filtered.
+    O(n) mask operations.  The adjacency is symmetric by construction
+    (u and v are in different classes or not, and each last-row edge is
+    set on both sides), so the graph skips Graph's re-check.
+    """
+    n, left = 0, m
+    while left:
+        n += 1
+        row = (n - 1) - (n - 1) // r
+        if left <= row:
+            break
+        left -= row
+    if n == 0:
+        return _trusted_graph(0, (0,))
+    classes = _residue_classes(r, n)
+    below = _vertex_mask(n - 1)
+    last = sum(1 << u for _, u in zip(range(left), _bits(below & ~classes[(n - 1) % r])))
+    adj = (
+        0,
+        *((below & ~classes[(u - 1) % r]) | (last >> u & 1) << n for u in range(1, n)),
+        last,
+    )
+    return _trusted_graph(n, adj)
 
 
 def colex_graph(m: int) -> Graph:
-    """Graph whose edges are the first m 2-sets in colex order."""
+    """Graph whose edges are the first m 2-sets in colex order.
+
+    The r-partite walk of colex_turan_graph with more classes than
+    vertices, so nothing is filtered: O(n) mask operations, n the order
+    of the graph, about sqrt(2m).
+    """
     if m < 0:
         raise ValueError("m must be nonnegative")
-    return graph_from_edges(islice(_colex_pairs(), m))
+    return _colex_prefix(m + 1, m)
 
 
 def colex_turan_graph(r: int, m: int) -> Graph:
-    """Graph whose edges are the first m 2-sets in r-partite colex order."""
+    """Graph whose edges are the first m 2-sets in r-partite colex order.
+
+    Built a vertex row at a time in O(n) mask operations, n the order of
+    CT_r(m), about sqrt(2rm / (r - 1)).
+    """
     if r < 2:
         raise ValueError("r must be at least 2")
     if m < 0:
         raise ValueError("m must be nonnegative")
-    pairs = ((u, v) for u, v in _colex_pairs() if (v - u) % r)
-    return graph_from_edges(islice(pairs, m))
+    return _colex_prefix(r, m)
 
 
 def blowup(g: Graph, t: int) -> Graph:

@@ -140,18 +140,21 @@ def mex_profile(r: int, s: int, m_max: int) -> list[int]:
     For each order n, e_s of the part sizes of T_r(n) is computed once; the
     edges t_r(n) + q for q = 1..t_r(n + 1) - t_r(n) join vertex n + 1 to its
     q-th neighbour, so mex = e_s(parts) + e_{s-1}(balanced split of q into
-    r - 1 classes).
+    r - 1 classes).  That apex term depends on q alone, so it is computed
+    once per q and shared by every n.
     """
     if not r >= s >= 2:
         raise ValueError(f"need r >= s >= 2, got r={r}, s={s}")
     if m_max < 0:
         raise ValueError("m_max must be nonnegative")
     values: list[int] = []
+    apex = [0]  # apex[q] = e_{s-1}(balanced split of q into r - 1 classes)
     n = 1
     while len(values) < m_max:
         base = _e_balanced(s, r, n)
         steps = min(turan_number(r, n + 1) - turan_number(r, n), m_max - len(values))
-        values.extend(base + _e_balanced(s - 1, r - 1, q) for q in range(1, steps + 1))
+        apex.extend(_e_balanced(s - 1, r - 1, q) for q in range(len(apex), steps + 1))
+        values.extend(base + a for a in apex[1 : steps + 1])
         n += 1
     return values
 

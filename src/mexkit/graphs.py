@@ -166,8 +166,10 @@ class CliqueProfile:
 def _trusted_graph(n: int, adjacency: tuple[int, ...]) -> Graph:
     """A Graph on adjacency that is padded, in range and symmetric by construction, unchecked.
 
-    For builders that set every edge's two bits together, such as the
-    oracle's canonical representatives; input goes through Graph(...).
+    For builders that set or clear every edge's two bits together: the
+    oracle's canonical representatives, the Turan and colex constructions
+    and the final graphs of the deletion processes.  Input goes through
+    Graph(...).
     """
     g = object.__new__(Graph)
     object.__setattr__(g, "vertex_count", n)

@@ -28,6 +28,7 @@ from .graphs import (
     _bits,
     _colex_edges,
     _count_within,
+    _trusted_graph,
     contains_clique,
     count_cliques,
 )
@@ -216,7 +217,7 @@ def edge_deletion_process(g: Graph, config: ProcessConfig) -> ProcessTrace:
     while len(steps) < config.edge_budget:
         pick = least_qualifying()
         if pick is None:
-            return ProcessTrace(tuple(steps), Graph(n, tuple(adj)), False, None)
+            return ProcessTrace(tuple(steps), _trusted_graph(n, tuple(adj)), False, None)
         (u, v), val = pick
         common = adj[u] & adj[v]
         adj[u] &= ~(1 << v)
@@ -232,7 +233,7 @@ def edge_deletion_process(g: Graph, config: ProcessConfig) -> ProcessTrace:
                 for x in _bits(common & succ[w]):
                     recount(w, x)
     exhausted = least_qualifying() is not None
-    return ProcessTrace(tuple(steps), Graph(n, tuple(adj)), exhausted, None)
+    return ProcessTrace(tuple(steps), _trusted_graph(n, tuple(adj)), exhausted, None)
 
 
 def vertex_deletion_process(g: Graph, config: ProcessConfig) -> ProcessTrace:
@@ -275,7 +276,7 @@ def vertex_deletion_process(g: Graph, config: ProcessConfig) -> ProcessTrace:
     while True:
         v = pick_vertex()
         if v is None:
-            return ProcessTrace(tuple(steps), Graph(n, tuple(adj)), False, None)
+            return ProcessTrace(tuple(steps), _trusted_graph(n, tuple(adj)), False, None)
         d = adj[v].bit_count()
         if deleted_edges + d > config.edge_budget:
             # spare the final vertex, trimming just enough of its edges
@@ -290,7 +291,7 @@ def vertex_deletion_process(g: Graph, config: ProcessConfig) -> ProcessTrace:
                 trimmed.append((min(u, v), max(u, v)))
             return ProcessTrace(
                 tuple(steps),
-                Graph(n, tuple(adj)),
+                _trusted_graph(n, tuple(adj)),
                 True,
                 PartialVertex(v, tuple(trimmed)),
             )

@@ -12,6 +12,7 @@ from mexkit.constructions import (
     turan_number,
 )
 from mexkit.graphs import (
+    Graph,
     contains_clique,
     count_cliques,
     graph_from_edges,
@@ -45,6 +46,16 @@ class TestTuran:
 
     def test_single_part_is_edgeless(self):
         assert turan_graph(1, 5).edge_count == 0
+
+    def test_matches_pair_definition(self):
+        for r in range(1, 8):
+            for n in range(41):
+                pairs = [
+                    (u, v) for v in range(1, n + 1) for u in range(1, v) if (v - u) % r
+                ]
+                g = turan_graph(r, n)
+                assert g == graph_from_edges(pairs, explicit_vertex_count=n), (r, n)
+                assert Graph(n, g.adjacency) == g
 
 
 class TestColexGraph:
@@ -91,6 +102,28 @@ class TestColexTuranGraph:
             pairs = naive_colex_pairs(500, r)
             for m in range(501):
                 assert colex_turan_graph(r, m) == graph_from_edges(pairs[:m]), (r, m)
+
+    def test_revalidates(self):
+        for m in range(501):
+            g = colex_graph(m)
+            assert Graph(g.vertex_count, g.adjacency) == g, m
+            for r in range(2, 8):
+                g = colex_turan_graph(r, m)
+                assert Graph(g.vertex_count, g.adjacency) == g, (r, m)
+
+    def test_around_every_turan_number(self):
+        for r in range(2, 8):
+            for n in range(2, 61):  # t_r(1) - 1 < 0; n = 2 covers m = 0, 1
+                t = turan_number(r, n)
+                for m in (t - 1, t, t + 1):
+                    g = colex_turan_graph(r, m)
+                    assert g.edge_count == m, (r, m)
+                    # the residue classes colour it properly, so it has no K_{r+1}
+                    for v in g.vertices():
+                        for u in range(v + r, g.vertex_count + 1, r):
+                            assert not g.has_edge(v, u), (r, m, v, u)
+                    if r <= 3:
+                        assert not contains_clique(g, r + 1), (r, m)
 
     def test_edge_counts_match_parameter(self):
         for r in (2, 3, 4):

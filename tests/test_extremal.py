@@ -136,6 +136,11 @@ class TestMexProfile:
                 profile = mex_profile(r, s, 500)
                 assert profile == [mex_clique(m, s, r) for m in range(1, 501)], (r, s)
 
+    def test_shared_apex_terms_to_5000(self):
+        for r, s in ((2, 2), (3, 3), (6, 4)):
+            profile = mex_profile(r, s, 5000)
+            assert profile == [mex_clique(m, s, r) for m in range(1, 5001)], (r, s)
+
 
 class TestClosedForm:
     def test_examples(self):

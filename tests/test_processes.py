@@ -303,6 +303,33 @@ class TestVertexProcess:
             assert g.edge_count - trace.final_graph.edge_count == removed
 
 
+class TestFinalGraphs:
+    """final_graph skips Graph's re-check; it must still pass it and equal the replay."""
+
+    def _check(self, g, trace):
+        final = trace.final_graph
+        assert Graph(final.vertex_count, final.adjacency) == final
+        assert replay_trace(g, trace) == final
+
+    def test_every_return_path_on_the_corpus(self):
+        stops = set()
+        for g in process_corpus():
+            m = g.edge_count
+            for budget in (m // 3, m):
+                for coefficient in (1.0, 1e9):
+                    cfg = ProcessConfig("edge", 3, 3, 0.3, coefficient, 0.0, budget)
+                    trace = edge_deletion_process(g, cfg)
+                    self._check(g, trace)
+                    stops.add(("edge", len(trace.steps) == budget))
+                    cfg = ProcessConfig("vertex", 3, 3, 0.3, coefficient, 0.5, budget)
+                    trace = vertex_deletion_process(g, cfg)
+                    self._check(g, trace)
+                    stops.add(("vertex", trace.partial_last_vertex is not None))
+        # both edge returns (threshold, budget) and both vertex returns
+        # (no qualifying vertex, partial last vertex) were reached
+        assert stops == {("edge", False), ("edge", True), ("vertex", False), ("vertex", True)}
+
+
 class TestStability:
     def test_colex_turan_is_extremal_and_partite(self):
         report = stability_experiment(colex_turan_graph(3, 25), 3, 3, 0.1)
