@@ -10,7 +10,7 @@ plain equality on the non-isolated part.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isqrt
+from math import comb, isqrt
 
 # colex_unrank is no longer called here; the binding stays because
 # perfbench/tests/test_tracer.py checks that the tracer patches it here.
@@ -19,7 +19,6 @@ from .graphs import Graph, _bits, _trusted_graph, _vertex_mask
 
 __all__ = [
     "GadgetParams",
-    "TuranSpec",
     "blowup",
     "colex_graph",
     "colex_turan_graph",
@@ -29,31 +28,6 @@ __all__ = [
     "turan_graph",
     "turan_number",
 ]
-
-
-@dataclass(frozen=True)
-class TuranSpec:
-    """Parameters of a balanced complete r-partite graph on n vertices."""
-
-    r: int
-    n: int
-
-    def __post_init__(self) -> None:
-        if self.r < 1:
-            raise ValueError("r must be at least 1")
-        if self.n < 0:
-            raise ValueError("n must be nonnegative")
-
-    @property
-    def part_sizes(self) -> tuple[int, ...]:
-        """Sizes by residue class; they differ by at most 1 and sum to n."""
-        return tuple((self.n - i + self.r - 1) // self.r for i in range(self.r))
-
-    @property
-    def edge_count(self) -> int:
-        # n^2 minus the squared part sizes: r - n%r parts of n//r, n%r of n//r + 1
-        a, big = divmod(self.n, self.r)
-        return (self.n * self.n - self.r * a * a - big * (2 * a + 1)) // 2
 
 
 def _residue_classes(r: int, n: int) -> list[int]:
@@ -73,17 +47,42 @@ def turan_graph(r: int, n: int) -> Graph:
     Each vertex is joined to every vertex outside its class, one mask
     operation per vertex.
     """
-    spec = TuranSpec(r, n)
+    edges = turan_number(r, n)  # validates r and n before any mask is built
     classes = _residue_classes(r, n)
     everyone = _vertex_mask(n)
     adj = (0, *(everyone & ~classes[(v - 1) % r] for v in range(1, n + 1)))
-    assert sum(m.bit_count() for m in adj) // 2 == spec.edge_count
+    assert sum(m.bit_count() for m in adj) // 2 == edges
     return _trusted_graph(n, adj)
 
 
 def turan_number(r: int, n: int) -> int:
-    """Edge count of the balanced complete r-partite graph on n vertices."""
-    return TuranSpec(r, n).edge_count
+    """Edge count of the balanced complete r-partite graph on n vertices.
+
+    n^2 minus the squared part sizes, halved: r - n % r parts of n // r
+    and n % r parts of n // r + 1.  Equal to _e_balanced(2, r, n).
+    """
+    if r < 1:
+        raise ValueError("r must be at least 1")
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    a, big = divmod(n, r)
+    return (n * n - r * a * a - big * (2 * a + 1)) // 2
+
+
+def _e_balanced(k: int, size: int, total: int) -> int:
+    """e_k of the balanced split of total into size parts.
+
+    The parts are total // size, size - total % size times, and that plus
+    one, total % size times; choosing j of the larger parts and k - j of the
+    smaller ones gives e_k in k + 1 terms, whatever size is.  Zykov's count
+    is e_t of the parts of T_r(n), and the colex Turan graph adds e_{s-1} of
+    its apex's neighbours split over the other r - 1 classes.
+    """
+    a, big = divmod(total, size)
+    return sum(
+        comb(big, j) * comb(size - big, k - j) * (a + 1) ** j * a ** (k - j)
+        for j in range(k + 1)
+    )
 
 
 def _turan_order(r: int, m: int) -> int:
@@ -203,10 +202,8 @@ def critical_edge_gadget_params(r: int, m: int) -> GadgetParams:
     if m < 1:
         raise ValueError("no attachment is possible for m < 1")
     n = _turan_order(r, m)
-    q = m - turan_number(r, n - 1)
-    if not 1 <= q <= n - 1:
-        raise ValueError(f"impossible attachment for r={r}, m={m}")
-    return GadgetParams(r, m, n, q)
+    # t_r(n - 1) < m <= t_r(n), so 1 <= q <= (n - 1) - (n - 1) // r
+    return GadgetParams(r, m, n, m - turan_number(r, n - 1))
 
 
 def critical_edge_gadget(r: int, m: int) -> Graph:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, perm
 
-from .constructions import _turan_order, colex_turan_graph, turan_number
+from .constructions import _e_balanced, _turan_order, colex_turan_graph, turan_number
 from .graphs import count_cliques
 
 __all__ = [
@@ -82,26 +82,12 @@ def verify_constant_identities(r: int, s: int) -> bool:
     return lhs == rhs and c2 == falling_form and c2 <= upper
 
 
-def _e_balanced(k: int, size: int, total: int) -> int:
-    """e_k of the balanced split of total into size parts.
-
-    The parts are total // size, size - total % size times, and that plus
-    one, total % size times; choosing j of the larger parts and k - j of the
-    smaller ones gives e_k in k + 1 terms, whatever size is.
-    """
-    a, big = divmod(total, size)
-    return sum(
-        comb(big, j) * comb(size - big, k - j) * (a + 1) ** j * a ** (k - j)
-        for j in range(k + 1)
-    )
-
-
 def zykov_ex(n: int, t: int, r: int) -> int:
     """Maximum K_t count over graphs on n vertices with no K_{r+1}.
 
     Attained by the balanced complete r-partite graph T_r(n), whose K_t
-    count is e_t(TuranSpec(r, n).part_sizes), the elementary symmetric
-    polynomial of its part sizes.
+    count is e_t of its part sizes, the elementary symmetric polynomial
+    of the balanced split of n into r parts.
     """
     if not n >= r >= t >= 2:
         raise ValueError(f"need n >= r >= t >= 2, got n={n}, r={r}, t={t}")
@@ -162,10 +148,12 @@ def mex_profile(r: int, s: int, m_max: int) -> list[int]:
 def closed_form_check(r: int, s: int, n: int) -> bool:
     """Exact lattice-point check of the closed form for the extremal count.
 
-    For r | n and m the balanced edge count: verifies m = (n/r)^2 binom(r,2)
-    and k_s(CT_r(m))^2 = c_{r,s}^2 * m^s, both in exact arithmetic.  The
-    clique count is taken on the built graph, not from mex_clique, so the
-    check stays independent of the formula it confirms.
+    For r | n and m the balanced edge count: verifies m = (n/r)^2 binom(r,2),
+    that CT_r(m), which is then T_r(n), is (n - n/r)-regular on its
+    non-isolated vertices, and k_s(CT_r(m))^2 = c_{r,s}^2 * m^s, all in
+    exact arithmetic.  The clique count is taken on the built graph, not
+    from mex_clique, so the check stays independent of the formula it
+    confirms.
     """
     if not r >= s >= 2:
         raise ValueError(f"need r >= s >= 2, got r={r}, s={s}")
@@ -174,7 +162,10 @@ def closed_form_check(r: int, s: int, n: int) -> bool:
     m = turan_number(r, n)
     if m != (n // r) ** 2 * comb(r, 2):
         return False
-    kappa = count_cliques(colex_turan_graph(r, m), s)
+    ct = colex_turan_graph(r, m)
+    if not set(map(int.bit_count, ct.adjacency)) <= {0, n - n // r}:
+        return False
+    kappa = count_cliques(ct, s)
     return Fraction(kappa * kappa) == c_rs(r, s).square * m**s
 
 

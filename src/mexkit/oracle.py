@@ -19,6 +19,7 @@ from itertools import combinations, product
 from math import comb
 from typing import Callable, Iterable, Iterator, Sequence
 
+from .constructions import _e_balanced
 from .graphs import (
     Graph,
     _bits,
@@ -75,7 +76,7 @@ class SearchResult:
     """Outcome of an exhaustive search.
 
     witnesses holds canonical representatives of the optimum graphs in
-    canonical-form order, truncated at the configured limit;
+    canonical-form order, the first DEFAULT_WITNESS_LIMIT of them;
     witness_count is the exact number of isomorphism classes attaining
     the optimum.  search_space_size counts the classes searched over:
     every graph with m edges for brute_force_mex, free or not (counted,
@@ -531,7 +532,7 @@ def _is_free(g: Graph, forbidden: Graph, forb_k: int | None) -> bool:
 
 
 def _search_result(
-    candidates: list[Graph], s: int, space: int, witness_limit: int, start: float
+    candidates: list[Graph], s: int, space: int, start: float
 ) -> SearchResult:
     """Most s-cliques over free candidates given in canonical-form order, with attainers."""
     best = -1
@@ -545,7 +546,7 @@ def _search_result(
             attainers.append(g)
     return SearchResult(
         optimum=max(best, 0),
-        witnesses=tuple(attainers[:witness_limit]),
+        witnesses=tuple(attainers[:DEFAULT_WITNESS_LIMIT]),
         witness_count=len(attainers),
         search_space_size=space,
         elapsed=time.perf_counter() - start,
@@ -558,7 +559,6 @@ def brute_force_mex(
     forbidden: Graph,
     *,
     cap: int | None = DEFAULT_EDGE_CAP,
-    witness_limit: int = DEFAULT_WITNESS_LIMIT,
 ) -> SearchResult:
     """Exact maximum of the s-clique count over forbidden-free graphs with m edges.
 
@@ -568,15 +568,15 @@ def brute_force_mex(
     search is then _knapsack over the connected classes with up to m
     edges, a free class scoring its s-cliques and the others left out;
     search_space_size counts every multiset with m edges, and only the
-    first witness_limit attainers are built.  A forbidden graph with two
-    or more components (2K_2, K_2 plus an isolated vertex, ...) can be
-    contained in a graph with free components, so it is decided by
-    enumerate-and-filter instead.
+    first DEFAULT_WITNESS_LIMIT attainers are built.  A forbidden graph
+    with two or more components (2K_2, K_2 plus an isolated vertex, ...)
+    can be contained in a graph with free components, so it is decided
+    by enumerate-and-filter instead.
     """
     if s < 1:
         raise ValueError("s must be at least 1")
     if len(_component_vertex_lists(forbidden.adjacency)) > 1:
-        return _mex_by_enumeration(m, s, forbidden, cap, witness_limit)
+        return _mex_by_enumeration(m, s, forbidden, cap)
     if m < 1:
         raise ValueError("m must be at least 1")
     _require_cap(m, cap, "edge count")
@@ -587,16 +587,16 @@ def brute_force_mex(
     )
     return SearchResult(
         optimum=max(best, 0),
-        witnesses=tuple(_graph_from_items(n, items) for n, items in keys[:witness_limit]),
+        witnesses=tuple(
+            _graph_from_items(n, items) for n, items in keys[:DEFAULT_WITNESS_LIMIT]
+        ),
         witness_count=len(keys),
         search_space_size=total,
         elapsed=time.perf_counter() - start,
     )
 
 
-def _mex_by_enumeration(
-    m: int, s: int, forbidden: Graph, cap: int | None, witness_limit: int
-) -> SearchResult:
+def _mex_by_enumeration(m: int, s: int, forbidden: Graph, cap: int | None) -> SearchResult:
     """brute_force_mex by scanning every graph with m edges; right for every forbidden graph."""
     start = time.perf_counter()
     # enumerate_graphs yields canonical representatives in canonical-form
@@ -604,7 +604,7 @@ def _mex_by_enumeration(
     graphs = list(enumerate_graphs(m, cap=cap))
     forb_k = _clique_order(forbidden)
     free = [g for g in graphs if _is_free(g, forbidden, forb_k)]
-    return _search_result(free, s, len(graphs), witness_limit, start)
+    return _search_result(free, s, len(graphs), start)
 
 
 def brute_force_ex(
@@ -613,7 +613,6 @@ def brute_force_ex(
     forbidden: Graph,
     *,
     cap: int | None = DEFAULT_VERTEX_CAP,
-    witness_limit: int = DEFAULT_WITNESS_LIMIT,
 ) -> SearchResult:
     """Exact maximum of the t-clique count over forbidden-free graphs on n vertices.
 
@@ -639,7 +638,7 @@ def brute_force_ex(
     _require_cap(n, cap, "vertex count")
     start = time.perf_counter()
     level = list(_free_upto(n, forbidden)[n].values())
-    return _search_result(level, t, len(level), witness_limit, start)
+    return _search_result(level, t, len(level), start)
 
 
 # levels[k] = free graphs on k vertices, canonical form -> canonical
@@ -752,12 +751,7 @@ def _colorable_most(n: int, k: int, r_colorable: int, cap: int | None) -> int:
     if r < k:
         raise ValueError(f"no {r_colorable}-colorable family of {k}-sets exists")
     _require_cap(r**n, cap, "coloring assignment space")
-    e = [1] + [0] * k
-    for part in range(r):
-        size = (n + part) // r
-        for j in range(k, 0, -1):
-            e[j] += size * e[j - 1]
-    return e[k]
+    return _e_balanced(k, r, n)
 
 
 def brute_force_min_shadow(

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import os
 import subprocess
@@ -194,6 +195,33 @@ class TestExitCodes:
         code, out, _ = run(capsys, "verify", "frohmader", "--r", "3", "--s", "3", "--m-max", "4")
         assert code == 0 and out.count("ok") == 5
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("bound", "--m", "9" * 401, "--s", "3"),
+            ("process", "constants", "--r", "3", "--s", "200", "--epsilon", "0.1"),
+            ("process", "edge", "--s", "2000", "--r", "3", "--epsilon", "0.3"),
+            ("process", "edge", "--s", "3", "--r", "3", "--epsilon", "0.3",
+             "--exponent", "1e308"),
+            ("process", "vertex", "--s", "3", "--r", "3", "--epsilon", "0.3",
+             "--exponent", "1e308"),
+        ],
+        ids=["bound-huge-m", "constants-huge-s", "edge-huge-s", "edge-huge-exponent",
+             "vertex-huge-exponent"],
+    )
+    def test_float_overflow_is_usage_error(self, capsys, tmp_path, argv):
+        # a quantity past the float range is bad input: one error line, no traceback
+        from mexkit.constructions import colex_turan_graph
+
+        if argv[0] == "process" and argv[1] != "constants":
+            path = tmp_path / "ct.edges"
+            path.write_text(format_edge_list(colex_turan_graph(3, 40)))
+            argv = (*argv[:2], "--input", str(path), *argv[2:])
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_verify_pass_is_zero(self, capsys):
         code, out, _ = run(capsys, "verify", "enumeration", "--m-max", "3")
         assert code == 0 and "ok" in out
@@ -280,6 +308,23 @@ class TestVerifySubcommands:
             "--r", "3",
         )
         assert code == 0
+
+    def test_closed_form_builds_each_graph_once(self, capsys, monkeypatch):
+        # one CT_r(t_r(n)) per row; the sha256 pins the bytes of the 213 rows
+        builds = []
+        build = cli.extremal.colex_turan_graph
+
+        def counted(r, m):
+            builds.append((r, m))
+            return build(r, m)
+
+        monkeypatch.setattr(cli.extremal, "colex_turan_graph", counted)
+        monkeypatch.setattr(cli.constructions, "colex_turan_graph", counted)
+        code, out, _ = run(capsys, "verify", "closed-form", "--r-max", "6", "--n-max", "60")
+        assert code == 0 and len(builds) == 213 == len(out.splitlines()) - 1
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "6b48b4b26c6179fa69c1461cc3e9f2eaac860faf1855dab9d771cd4344499550"
+        )
 
     def test_closed_form_and_constants(self, capsys):
         code, _, _ = run(capsys, "verify", "closed-form", "--r-max", "3", "--n-max", "9")

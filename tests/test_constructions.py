@@ -1,7 +1,7 @@
 import pytest
 
 from mexkit.constructions import (
-    TuranSpec,
+    _e_balanced,
     blowup,
     colex_graph,
     colex_turan_graph,
@@ -31,13 +31,33 @@ class TestTuran:
         assert g.edge_count == 12 and count_cliques(g, 3) == 8
 
     def test_part_sizes_balanced(self):
-        for r in range(1, 6):
-            for n in range(13):
-                spec = TuranSpec(r, n)
-                sizes = spec.part_sizes
-                assert sum(sizes) == n
-                assert max(sizes) - min(sizes) <= 1
-                assert spec.edge_count == (n * n - sum(s * s for s in sizes)) // 2
+        for r in range(1, 8):
+            for n in range(41):
+                sizes = [(n + i) // r for i in range(r)]
+                assert sum(sizes) == n and max(sizes) - min(sizes) <= 1
+                pairs = sum(1 for v in range(1, n + 1) for u in range(1, v) if (v - u) % r)
+                want = (n * n - sum(x * x for x in sizes)) // 2
+                assert turan_number(r, n) == want == _e_balanced(2, r, n) == pairs, (r, n)
+
+    def test_e_balanced_matches_the_product_recurrence(self):
+        # e_k of the parts by multiplying in (1 + part x) one part at a time
+        for size in range(1, 9):
+            for total in range(31):
+                e = [1] + [0] * 6
+                for part in [(total + i) // size for i in range(size)]:
+                    for j in range(6, 0, -1):
+                        e[j] += part * e[j - 1]
+                for k in range(7):
+                    assert _e_balanced(k, size, total) == e[k], (k, size, total)
+
+    @pytest.mark.parametrize(
+        "build, r, n",
+        [(turan_number, 0, 5), (turan_number, 3, -1), (turan_graph, 0, 5), (turan_graph, 3, -1)],
+    )
+    def test_validation(self, build, r, n):
+        # r = 0 is a ValueError, not a ZeroDivisionError from the residue classes
+        with pytest.raises(ValueError):
+            build(r, n)
 
     def test_clique_free(self):
         for r in range(1, 6):
@@ -184,6 +204,8 @@ class TestCriticalEdgeGadget:
                     n += 1
                 p = critical_edge_gadget_params(r, m)
                 assert (p.host_order, p.attach_count) == (n, m - turan_number(r, n - 1)), (r, m)
+                # the apex has a neighbour, and no more than its row holds
+                assert 1 <= p.attach_count <= (n - 1) - (n - 1) // r, (r, m)
 
     def test_triangle_counts(self):
         g24 = critical_edge_gadget(3, 24)

@@ -3,6 +3,7 @@ from math import comb
 
 import pytest
 
+from mexkit import extremal
 from mexkit.constructions import colex_turan_graph, turan_graph, turan_number
 from mexkit.extremal import (
     ExactSquareScalar,
@@ -15,7 +16,7 @@ from mexkit.extremal import (
     verify_constant_identities,
     zykov_ex,
 )
-from mexkit.graphs import count_cliques
+from mexkit.graphs import Graph, count_cliques
 from mexkit.oracle import enumerate_graphs
 
 
@@ -157,6 +158,17 @@ class TestClosedForm:
             for s in range(2, r + 1):
                 for n in range(r, 21, r):
                     assert closed_form_check(r, s, n), (r, s, n)
+
+    def test_irregular_graph_fails(self, monkeypatch):
+        # T_3(6) plus a pendant edge keeps its 8 triangles but is not 4-regular
+        def with_pendant(r, m):
+            g = colex_turan_graph(r, m)
+            adj = (*g.adjacency[:-1], g.adjacency[-1] | 1 << 7, 1 << 6)
+            return Graph(7, adj)
+
+        monkeypatch.setattr(extremal, "colex_turan_graph", with_pendant)
+        assert count_cliques(with_pendant(3, 12), 3) == 8
+        assert not closed_form_check(3, 3, 6)
 
 
 class TestLovaszBound:

@@ -16,6 +16,7 @@ from mexkit.extremal import mex_clique, zykov_ex
 from mexkit.graphs import Graph, contains_subgraph, count_cliques, graph_from_edges
 from mexkit.oracle import (
     DEFAULT_EDGE_CAP,
+    DEFAULT_WITNESS_LIMIT,
     CapExceededError,
     brute_force_ex,
     brute_force_mex,
@@ -42,6 +43,12 @@ C5 = graph_from_edges([(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)])
 K13 = graph_from_edges([(1, 2), (1, 3), (1, 4)])
 TWO_K2 = graph_from_edges([(1, 2), (3, 4)])
 K2_K1 = graph_from_edges([(1, 2)], explicit_vertex_count=3)
+
+
+@pytest.fixture
+def all_witnesses(monkeypatch):
+    """Lift the witness truncation, so a search returns every attainer."""
+    monkeypatch.setattr(oracle, "DEFAULT_WITNESS_LIMIT", 10**6)
 
 
 class TestCanonicalForm:
@@ -335,16 +342,18 @@ class TestBruteForceMex:
             assert count_cliques(w, 3) == res.optimum
             assert not contains_subgraph(w, forbidden)
 
-    def test_witnesses_in_canonical_form_order(self):
+    def test_witnesses_in_canonical_form_order(self, monkeypatch):
         # every triangle-free graph attains s = 2 (m edges)
         tri = complete_graph(3)
         expected = sorted(
             (g for g in enumerate_graphs(6) if not contains_subgraph(g, tri)),
             key=canonical_form,
         )
-        res = brute_force_mex(6, 2, tri, witness_limit=len(expected))
-        assert res.witness_count == len(expected) > 16
-        assert list(res.witnesses) == expected
+        res = brute_force_mex(6, 2, tri)
+        assert res.witness_count == len(expected) > DEFAULT_WITNESS_LIMIT
+        assert list(res.witnesses) == expected[:DEFAULT_WITNESS_LIMIT]
+        monkeypatch.setattr(oracle, "DEFAULT_WITNESS_LIMIT", len(expected))
+        assert list(brute_force_mex(6, 2, tri).witnesses) == expected
 
     @pytest.mark.parametrize(
         "forbidden",
@@ -352,10 +361,11 @@ class TestBruteForceMex:
         + [P3, C4, K13, TWO_K2, K2_K1, Graph(0, (0,))],
         ids=["K1", "K2", "K3", "K4", "P3", "C4", "K13", "2K2", "K2+K1", "empty"],
     )
+    @pytest.mark.usefixtures("all_witnesses")
     def test_matches_naive_enumeration(self, forbidden):
         for m in range(1, 7):
             for s in range(1, 5):
-                res = brute_force_mex(m, s, forbidden, witness_limit=10**6)
+                res = brute_force_mex(m, s, forbidden)
                 best, classes, space = naive_brute_force_mex(m, s, forbidden)
                 assert (res.optimum, res.witness_count, res.search_space_size) == (
                     best, len(classes), space
@@ -374,6 +384,7 @@ class TestBruteForceMex:
         [complete_graph(k) for k in range(1, 6)] + [P3, C4, K13],
         ids=["K1", "K2", "K3", "K4", "K5", "P3", "C4", "K13"],
     )
+    @pytest.mark.usefixtures("all_witnesses")
     def test_knapsack_matches_enumeration(self, forbidden):
         # connected forbidden graphs take the knapsack; the enumerate-and-filter
         # loop kept for disconnected ones must give every field alike
@@ -382,8 +393,8 @@ class TestBruteForceMex:
 
         for m in range(1, 9):
             for s in range(1, 5):
-                fast = brute_force_mex(m, s, forbidden, witness_limit=10**6)
-                slow = oracle._mex_by_enumeration(m, s, forbidden, DEFAULT_EDGE_CAP, 10**6)
+                fast = brute_force_mex(m, s, forbidden)
+                slow = oracle._mex_by_enumeration(m, s, forbidden, DEFAULT_EDGE_CAP)
                 assert fields(fast) == fields(slow), (m, s)
 
     def test_search_space_is_a000664(self):
@@ -450,10 +461,11 @@ class TestBruteForceEx:
         + [(C4, 5), (P3, 5), (K13, 5), (TWO_K2, 5), (K2_K1, 5)],
         ids=["K1", "K2", "K3", "K4", "C4", "P3", "K13", "2K2", "K2+K1"],
     )
+    @pytest.mark.usefixtures("all_witnesses")
     def test_matches_labeled_scan(self, forbidden, n_max):
         for n in range(1, n_max + 1):
             for t in range(1, 5):
-                res = brute_force_ex(n, t, forbidden, witness_limit=10**6)
+                res = brute_force_ex(n, t, forbidden)
                 best, classes = naive_brute_force_ex(n, t, forbidden)
                 assert (res.optimum, res.witness_count) == (best, len(classes)), (n, t)
                 # one-to-one: each witness matches one class, each class one witness
