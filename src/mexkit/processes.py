@@ -10,9 +10,11 @@ Deleted vertices remain as isolated placeholders so labels stay stable
 and traces replay exactly.
 
 Cost: the edge process counts each edge's s-cliques once, then after a
-deletion recounts only the edges that shared an s-clique with the deleted
-one, keeping the least value in a lazy heap; the vertex process scans the
-live vertices' degrees, O(n) popcounts a step.
+deletion subtracts from each edge that shared an s-clique with the deleted
+one the cliques it lost, which lie inside the common neighbourhood of the
+deleted edge's ends (at s = 3 one triangle each, no count at all), keeping
+the least value in a lazy heap; the vertex process scans the live
+vertices' degrees, O(n) popcounts a step.
 """
 
 from __future__ import annotations
@@ -75,6 +77,9 @@ class ProcessConfig:
             raise ValueError("need s >= 2 and r >= 2")
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError("epsilon must lie in (0, 1)")
+        for name in ("coefficient", "exponent"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.coefficient <= 0.0:
             raise ValueError("coefficient must be positive")
         if self.edge_budget < 0:
@@ -169,24 +174,50 @@ class ProcessTrace:
     partial_last_vertex: PartialVertex | None
 
 
+def _threshold(config: ProcessConfig, m: int) -> float:
+    """coefficient * m**exponent, or its limit +inf at m = 0 under a negative exponent."""
+    if m == 0 and config.exponent < 0:
+        return math.inf
+    return config.coefficient * m**config.exponent
+
+
+def _check_threshold(config: ProcessConfig, m: int) -> None:
+    """Raise ValueError if the threshold at the input's edge count m overflows a float.
+
+    No later step can overflow then: the edge count only falls, so m**exponent
+    is largest at m when exponent >= 0 and at most 1 below it.
+    """
+    try:
+        _threshold(config, m)
+    except OverflowError:
+        raise ValueError(
+            f"threshold coefficient * m**exponent is out of float range "
+            f"(coefficient={config.coefficient}, exponent={config.exponent}, m={m})"
+        ) from None
+
+
 def edge_deletion_process(g: Graph, config: ProcessConfig) -> ProcessTrace:
     """Repeatedly delete a qualifying minimum-value edge until none is left or the budget runs out.
 
     Every edge's value (the s-cliques through it) is counted once, up
     front, and kept in a dict beside a lazy min-heap keyed (value, v, u),
     so the least key is the colex-first edge of least value.  Deleting
-    {u, v} can change only the values of edges sharing an s-clique with
-    it: uw and vw for w in W = N(u) & N(v), and, when s >= 4, the edges
-    inside W.  Only those are recounted, and a heap entry is pushed only
-    when a value changes; an entry whose value no longer matches the dict
-    is stale and is popped when it reaches the top.  The least live value
-    qualifies iff some edge does, so each step compares it alone with the
-    threshold.
+    {u, v} destroys the s-cliques through both; an edge ab loses those
+    through u, v, a and b.  With W = N(u) & N(v), uw and vw (w in W) each
+    lose one per (s-3)-clique of W & N(w), and, when s >= 4, an edge wx
+    inside W loses one per (s-4)-clique of W & N(w) & N(x); no other
+    value changes.  Each loss is subtracted, not recounted: at s = 3 it
+    is 1, at s = 4 a popcount for uw and vw and 1 for wx.  A heap entry is
+    pushed only for a nonzero loss; an entry whose value no longer
+    matches the dict is stale and is popped when it reaches the top.  The
+    least live value qualifies iff some edge does, so each step compares
+    it alone with the threshold.
     """
     if config.mode != "edge":
         raise ValueError("config.mode must be 'edge'")
     if config.edge_budget > g.edge_count:
         raise ValueError("edge_budget exceeds the edge count")
+    _check_threshold(config, g.edge_count)
     n = g.vertex_count
     adj = list(g.adjacency)
     succ = [a & -(2 << v) for v, a in enumerate(adj)]
@@ -197,20 +228,17 @@ def edge_deletion_process(g: Graph, config: ProcessConfig) -> ProcessTrace:
     heap = [(val, v, u) for (u, v), val in value.items()]
     heapq.heapify(heap)
 
-    def recount(a: int, b: int) -> None:
-        e = (a, b) if a < b else (b, a)
-        val = _count_within(succ, adj[a] & adj[b], depth)
-        if value[e] != val:
-            value[e] = val
+    def lower(a: int, b: int, loss: int) -> None:
+        if loss:
+            e = (a, b) if a < b else (b, a)
+            val = value[e] = value[e] - loss
             heapq.heappush(heap, (val, e[1], e[0]))
 
     def least_qualifying() -> tuple[tuple[int, int], int] | None:
         while heap:
             val, v, u = heap[0]
             if value.get((u, v)) == val:
-                # an edge is left, so m_cur > 0 and a negative exponent is safe
-                threshold = config.coefficient * m_cur**config.exponent
-                return ((u, v), val) if val < threshold else None
+                return ((u, v), val) if val < _threshold(config, m_cur) else None
             heapq.heappop(heap)
         return None
 
@@ -226,12 +254,18 @@ def edge_deletion_process(g: Graph, config: ProcessConfig) -> ProcessTrace:
         del value[(u, v)]
         m_cur -= 1
         steps.append(ProcessStep("edge", (u, v), val, m_cur))
+        if depth == 0:
+            continue  # at s = 2 an edge's only s-clique is itself
         for w in _bits(common):
-            recount(u, w)
-            recount(v, w)
+            # uw and vw lose one s-clique per (s-3)-clique of W & N(w)
+            near = common & adj[w]
+            loss = _count_within(succ, near, depth - 1) if depth > 1 else 1
+            lower(u, w, loss)
+            lower(v, w, loss)
             if depth >= 2:
-                for x in _bits(common & succ[w]):
-                    recount(w, x)
+                # wx inside W loses one per (s-4)-clique of W & N(w) & N(x)
+                for x in _bits(near & succ[w]):
+                    lower(w, x, _count_within(succ, near & adj[x], depth - 2) if depth > 2 else 1)
     exhausted = least_qualifying() is not None
     return ProcessTrace(tuple(steps), _trusted_graph(n, tuple(adj)), exhausted, None)
 
@@ -247,6 +281,7 @@ def vertex_deletion_process(g: Graph, config: ProcessConfig) -> ProcessTrace:
         raise ValueError("config.mode must be 'vertex'")
     if config.edge_budget > g.edge_count:
         raise ValueError("edge_budget exceeds the edge count")
+    _check_threshold(config, g.edge_count)
     n = g.vertex_count
     adj = list(g.adjacency)
     m_cur = g.edge_count
@@ -255,10 +290,7 @@ def vertex_deletion_process(g: Graph, config: ProcessConfig) -> ProcessTrace:
     deleted_edges = 0
 
     def pick_vertex() -> int | None:
-        if m_cur == 0 and config.exponent < 0:
-            threshold = math.inf
-        else:
-            threshold = config.coefficient * m_cur**config.exponent
+        threshold = _threshold(config, m_cur)
         best = None
         for v in range(1, n + 1):
             if removed_mask >> v & 1:

@@ -221,6 +221,22 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+        if "--exponent" in argv:
+            assert "exponent" in err
+
+    @pytest.mark.parametrize("mode", ["edge", "vertex"])
+    @pytest.mark.parametrize("flag", ["--coefficient", "--exponent"])
+    def test_non_finite_threshold_is_usage_error(self, capsys, tmp_path, mode, flag):
+        # nan would otherwise pass silently as a run of zero steps
+        path = tmp_path / "paw.edges"
+        path.write_text("1 2\n1 3\n2 3\n3 4\n")
+        for bad in ("nan", "inf"):
+            code, out, err = run(
+                capsys, "process", mode, "--input", str(path), "--s", "3", "--r", "3",
+                "--epsilon", "0.3", flag, bad,
+            )
+            assert (code, out) == (2, "")
+            assert err == f"error: {flag[2:]} must be finite\n"
 
     def test_verify_pass_is_zero(self, capsys):
         code, out, _ = run(capsys, "verify", "enumeration", "--m-max", "3")

@@ -1,9 +1,11 @@
+import dataclasses
 import math
 import random
 from itertools import combinations
 
 import pytest
 
+from mexkit import processes
 from mexkit.constructions import (
     colex_turan_graph,
     complete_graph,
@@ -47,6 +49,23 @@ class TestConfig:
             ProcessConfig("edge", 3, 3, 0.1, 0.0, 0.5, 1)
         with pytest.raises(ValueError):
             ProcessConfig("edge", 3, 3, 0.1, 1.0, 0.5, -1)
+
+    @pytest.mark.parametrize(
+        "config, run",
+        [
+            (ProcessConfig("edge", 3, 3, 0.25, 1.0, 1e308, 1), edge_deletion_process),
+            (ProcessConfig("vertex", 3, 3, 0.25, 1.0, 1e308, 1), vertex_deletion_process),
+        ],
+        ids=["edge", "vertex"],
+    )
+    def test_threshold_overflow_named_before_any_step(self, config, run):
+        g = colex_turan_graph(3, 40)
+        with pytest.raises(ValueError, match=r"exponent=1e\+308, m=40"):
+            run(g, config)
+        # with no edge and a negative exponent the threshold is never a power of 0
+        empty = Graph(3, (0, 0, 0, 0))
+        negative = dataclasses.replace(config, exponent=-1e308, edge_budget=0)
+        assert run(empty, negative).steps == ()
 
     def test_defaults(self):
         g = turan_graph(3, 6)
@@ -160,7 +179,7 @@ class TestEdgeProcessAgainstRescan:
     def test_random_graphs(self):
         rng = random.Random(4)
         stops = set()
-        for s in (2, 3, 4, 5):
+        for s in (2, 3, 4, 5, 6):
             for exponent in (0.0, 0.5, (s - 2) / 2, -0.5):
                 for _ in range(3):
                     g = _random_graph(rng, rng.randint(5, 9))
@@ -197,6 +216,47 @@ class TestEdgeProcessAgainstRescan:
             trace = edge_deletion_process(g, cfg)
             first_two = [(step.item, step.value) for step in trace.steps[:2]]
             assert first_two == [((1, 2), 1), ((3, 4), 0)]
+            assert trace == naive_edge_deletion_process(g, cfg)
+
+    def test_dense_graphs(self):
+        # Turan and colex Turan graphs are dense in s-cliques: one deletion
+        # takes several from an edge, while edges of W meeting the partial
+        # colex vertex lose none.  A full budget takes every edge, so the
+        # trace records each edge's value at the step that takes it.
+        for r in (4, 5, 6):
+            for g in (turan_graph(r, 10), colex_turan_graph(r, 35)):
+                m = g.edge_count
+                for s in range(4, r + 1):
+                    for budget in (0, m // 2, m):
+                        cfg = edge_config(g, 1e9, 0.0, budget, s=s)
+                        trace = edge_deletion_process(g, cfg)
+                        assert len(trace.steps) == budget
+                        assert trace == naive_edge_deletion_process(g, cfg)
+
+    def test_no_recount_after_the_initial_values(self, monkeypatch):
+        # the up-front values take one count at depth s - 2 per edge; after
+        # that a deletion only subtracts losses, counted at depth <= s - 3
+        # (not at all at s = 3)
+        depths = []
+
+        def counting(succ, cand, depth):
+            depths.append(depth)
+            return count_within(succ, cand, depth)
+
+        count_within = processes._count_within
+        monkeypatch.setattr(processes, "_count_within", counting)
+        g = turan_graph(5, 10)
+        m = g.edge_count
+        for s in (3, 4, 5):
+            depths.clear()
+            cfg = edge_config(g, 1e9, 0.0, m, s=s)
+            trace = edge_deletion_process(g, cfg)
+            assert depths[:m] == [s - 2] * m
+            assert all(depth <= s - 3 for depth in depths[m:])
+            if s == 3:
+                assert len(depths) == m
+            else:
+                assert len(depths) > m
             assert trace == naive_edge_deletion_process(g, cfg)
 
     def test_process_corpus(self):
