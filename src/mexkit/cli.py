@@ -573,7 +573,19 @@ class _PathParser(argparse.ArgumentParser):
         raise _Reparse
 
 
+class _NegativeNumber:
+    """argparse's test for a negative number, widened to all that float() reads (-1e-3, -inf)."""
+
+    @staticmethod
+    def match(arg: str) -> bool:
+        try:
+            return float(arg) is not None
+        except ValueError:
+            return False
+
+
 def _add_arguments(p: argparse.ArgumentParser, command: _Command) -> None:
+    p._negative_number_matcher = _NegativeNumber  # a value, not an option, after a flag
     for spec in command.args:
         if isinstance(spec, str):
             p.add_argument(spec, type=int, required=True)

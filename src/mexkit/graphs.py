@@ -11,10 +11,10 @@ Every clique count and clique test in mexkit goes through one kernel
 pair, _count_within and _has_within.  Both take successor masks of an
 acyclic orientation (succ[u] holds the neighbors that come after u) and
 look for cliques inside a candidate mask.  In any acyclic orientation a
-clique has exactly one vertex preceding all its others, so each clique
-is reached exactly once, whichever orientation the caller picks: the
-cached degeneracy order for Graph values, or label order
-(adj[v] & -(2 << v)) for adjacency lists edited in place.
+clique has exactly one vertex preceding all its others, so counting
+t-cliques visits each clique with fewer than t vertices exactly once,
+whatever the orientation; the last level is a popcount, not a call.
+mexkit uses label order, _label_successors, which Graph caches.
 """
 
 from __future__ import annotations
@@ -51,6 +51,11 @@ def _bits(mask: int) -> Iterator[int]:
 def _vertex_mask(n: int) -> int:
     """Bitmask of the vertices 1..n."""
     return ((1 << (n + 1)) - 1) & ~1
+
+
+def _label_successors(adj: Sequence[int]) -> list[int]:
+    """A fresh list of the label-order successor masks of a padded adjacency sequence."""
+    return [a & -(2 << v) for v, a in enumerate(adj)]
 
 
 def _colex_edges(adj: Sequence[int]) -> Iterator[tuple[int, int]]:
@@ -115,38 +120,13 @@ class Graph:
         return [v for v in self.vertices() if self.adjacency[v] == 0]
 
     @cached_property
-    def _degeneracy_successors(self) -> tuple[int, ...]:
-        """Per-vertex mask of neighbors that come later in a degeneracy order.
+    def _successors(self) -> tuple[int, ...]:
+        """Each vertex's larger-labeled neighbors, cached for the per-vertex and per-edge counts.
 
-        The order repeatedly removes a minimum-degree vertex (ties broken by
-        label), which keeps the branching factor of the counting recursion
-        at the graph's degeneracy.  Vertices wait in per-degree bucket
-        masks, and after a removal the minimum degree drops by at most one,
-        so the order costs O(n + m) mask operations.  Cached on the
-        instance: a Graph is immutable, and an instance cache costs no hash
-        of the adjacency.
+        The kernel visits each clique with fewer than t vertices once in
+        any orientation, so no vertex order would save it work.
         """
-        deg = [m.bit_count() for m in self.adjacency]
-        buckets = [0] * (max(deg) + 1)
-        for v in self.vertices():
-            buckets[deg[v]] |= 1 << v
-        alive = _vertex_mask(self.vertex_count)
-        succ = [0] * (self.vertex_count + 1)
-        d = 0
-        for _ in self.vertices():
-            d = max(d - 1, 0)
-            while not buckets[d]:
-                d += 1
-            low = buckets[d] & -buckets[d]
-            buckets[d] ^= low
-            alive ^= low
-            v = low.bit_length() - 1
-            succ[v] = self.adjacency[v] & alive
-            for u in _bits(succ[v]):
-                buckets[deg[u]] ^= 1 << u
-                deg[u] -= 1
-                buckets[deg[u]] |= 1 << u
-        return tuple(succ)
+        return tuple(_label_successors(self.adjacency))
 
 
 @dataclass(frozen=True)
@@ -224,6 +204,12 @@ def _count_within(succ: Sequence[int], cand: int, depth: int) -> int:
         return cand.bit_count() if depth else 1
     total = 0
     rest = cand
+    if depth == 2:  # the edges inside cand: a popcount per vertex, no call
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            total += (cand & succ[low.bit_length() - 1]).bit_count()
+        return total
     while rest:
         low = rest & -rest
         rest ^= low
@@ -239,7 +225,8 @@ def _has_within(succ: Sequence[int], cand: int, depth: int) -> bool:
     while rest:
         low = rest & -rest
         rest ^= low
-        if _has_within(succ, cand & succ[low.bit_length() - 1], depth - 1):
+        below = cand & succ[low.bit_length() - 1]
+        if below if depth == 2 else _has_within(succ, below, depth - 1):
             return True
     return False
 
@@ -252,7 +239,7 @@ def count_cliques(g: Graph, t: int) -> int:
         return g.vertex_count
     if t == 2:
         return g.edge_count
-    return _count_within(g._degeneracy_successors, _vertex_mask(g.vertex_count), t)
+    return _count_within(g._successors, _vertex_mask(g.vertex_count), t)
 
 
 def cliques_at_vertex(g: Graph, v: int, s: int) -> int:
@@ -262,7 +249,7 @@ def cliques_at_vertex(g: Graph, v: int, s: int) -> int:
     """
     if s < 1:
         raise ValueError("clique order must be at least 1")
-    return _count_within(g._degeneracy_successors, g.neighbor_mask(v), s - 1)
+    return _count_within(g._successors, g.neighbor_mask(v), s - 1)
 
 
 def cliques_at_edge(g: Graph, e: tuple[int, int], s: int) -> int:
@@ -275,9 +262,7 @@ def cliques_at_edge(g: Graph, e: tuple[int, int], s: int) -> int:
     u, v = e
     if not g.has_edge(u, v):
         raise ValueError(f"{{{u}, {v}}} is not an edge")
-    return _count_within(
-        g._degeneracy_successors, g.adjacency[u] & g.adjacency[v], s - 2
-    )
+    return _count_within(g._successors, g.adjacency[u] & g.adjacency[v], s - 2)
 
 
 def min_clique_degrees(g: Graph, s: int) -> tuple[int | None, int | None]:
@@ -318,7 +303,7 @@ def contains_clique(g: Graph, k: int) -> bool:
         return g.vertex_count >= 1
     if k == 2:
         return any(m for m in g.adjacency)
-    return _has_within(g._degeneracy_successors, _vertex_mask(g.vertex_count), k)
+    return _has_within(g._successors, _vertex_mask(g.vertex_count), k)
 
 
 def contains_subgraph(g: Graph, f: Graph) -> bool:

@@ -25,6 +25,7 @@ from .graphs import (
     _bits,
     _colex_edges,
     _has_within,
+    _label_successors,
     _trusted_graph,
     _vertex_mask,
     contains_clique,
@@ -666,7 +667,7 @@ def _free_upto(n: int, forbidden: Graph) -> list[dict[tuple, Graph]]:
         deg = [a.bit_count() for a in h.adjacency]
         low = min(deg[1:], default=0)
         lows = sum(1 << v for v in h.vertices() if deg[v] == low)
-        succ = [a & -(2 << v) for v, a in enumerate(h.adjacency)]
+        succ = _label_successors(h.adjacency)
         blocks = []  # (item, mask of its block of labels)
         base = 0
         for item in items:

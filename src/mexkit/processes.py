@@ -30,6 +30,7 @@ from .graphs import (
     _bits,
     _colex_edges,
     _count_within,
+    _label_successors,
     _trusted_graph,
     contains_clique,
     count_cliques,
@@ -220,7 +221,7 @@ def edge_deletion_process(g: Graph, config: ProcessConfig) -> ProcessTrace:
     _check_threshold(config, g.edge_count)
     n = g.vertex_count
     adj = list(g.adjacency)
-    succ = [a & -(2 << v) for v, a in enumerate(adj)]
+    succ = _label_successors(adj)
     m_cur = g.edge_count
     depth = config.s - 2
     steps: list[ProcessStep] = []

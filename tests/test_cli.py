@@ -238,6 +238,28 @@ class TestExitCodes:
             assert (code, out) == (2, "")
             assert err == f"error: {flag[2:]} must be finite\n"
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--exponent", "-1e-3"), ("--exponent", "-1e308"), ("--exponent", "-1E-3"),
+         ("--coefficient", "-2e0"), ("--exponent", "-inf")],
+    )
+    def test_negative_float_in_scientific_notation_is_a_value(
+        self, capsys, tmp_path, flag, value
+    ):
+        # argparse alone reads -1e-3 as a flag: "expected one argument"
+        path = tmp_path / "paw.edges"
+        path.write_text("1 2\n1 3\n2 3\n3 4\n")
+        argv = ("process", "edge", "--input", str(path), "--s", "3", "--r", "3", "--epsilon", "0.3")
+        got = run(capsys, *argv, flag, value)
+        assert got == run(capsys, *argv, f"{flag}={value}")
+        assert "expected one argument" not in got[2]
+        if value == "-inf":
+            assert got == (2, "", "error: exponent must be finite\n")
+        elif flag == "--coefficient":
+            assert got == (2, "", "error: coefficient must be positive\n")
+        else:
+            assert got[0] == 0 and got[1].endswith('"budget_exhausted":false}\n')
+
     def test_verify_pass_is_zero(self, capsys):
         code, out, _ = run(capsys, "verify", "enumeration", "--m-max", "3")
         assert code == 0 and "ok" in out

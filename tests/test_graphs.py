@@ -198,18 +198,53 @@ class TestInvariants:
             for s in (2, 3, 4, 5):
                 assert cliques_at_edge(g, e, s) == naive_cliques_at_edge(g, e, s)
 
-    def test_degeneracy_order_matches_naive_definition(self):
+    def test_kernel_is_independent_of_the_orientation(self, monkeypatch):
+        # each clique is reached once from its first vertex in any acyclic
+        # orientation, so the count and the number of calls cannot depend on it
         import random
 
+        from mexkit import graphs
+
         rng = random.Random(405)
-        graphs = [Graph(0, (0,)), colex_turan_graph(3, 300), turan_graph(4, 13)]
+        corpus = [Graph(0, (0,)), colex_turan_graph(3, 300), turan_graph(4, 13)]
         for _ in range(200):
             n = rng.randint(1, 14)
             pairs = [(u, v) for v in range(2, n + 1) for u in range(1, v)]
             edges = rng.sample(pairs, rng.randint(0, len(pairs)))
-            graphs.append(graph_from_edges(edges, explicit_vertex_count=n))
-        for g in graphs:
-            assert g._degeneracy_successors == naive_degeneracy_successors(g)
+            corpus.append(graph_from_edges(edges, explicit_vertex_count=n))
+        count_within = graphs._count_within
+        calls = 0
+
+        def counted(succ, cand, depth):
+            nonlocal calls
+            calls += 1
+            return count_within(succ, cand, depth)
+
+        monkeypatch.setattr(graphs, "_count_within", counted)
+        for g in corpus:
+            rank = list(g.vertices())
+            rng.shuffle(rank)
+            rank = [0, *rank]  # a random topological order: u before v iff rank[u] < rank[v]
+            random_order = [
+                sum(1 << u for u in graphs._bits(a) if rank[u] > rank[v])
+                for v, a in enumerate(g.adjacency)
+            ]
+            orientations = [g._successors, naive_degeneracy_successors(g), random_order]
+            everything = graphs._vertex_mask(g.vertex_count)
+            for t in range(3, 7):
+                seen = set()
+                for succ in orientations:
+                    calls = 0
+                    seen.add((counted(succ, everything, t), calls))
+                # one call per clique with at most t - 2 vertices, the empty one included
+                expected_calls = 1 + sum(naive_count_cliques(g, k) for k in range(1, t - 1))
+                assert seen == {(naive_count_cliques(g, t), expected_calls)}
+            for cand in (0, everything, g.adjacency[-1]):
+                for depth in range(7):
+                    for succ in orientations:
+                        assert graphs._has_within(succ, cand, depth) == (
+                            count_within(succ, cand, depth) > 0
+                        )
 
     def test_subgraph_matches_clique_count(self):
         for g in named_small_graphs():
