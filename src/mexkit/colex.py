@@ -5,12 +5,18 @@ order puts A before B iff the largest element of their symmetric
 difference lies in B; on sorted tuples that is exactly comparison of the
 reversed tuples.  The r-partite variant restricts the same order to sets
 whose elements lie in pairwise distinct residue classes mod r.
+
+Initial segments are walked, not unranked: `_rpartite_walk` lists the
+valid k-sets in order, by largest element and then the rest, and never
+builds an invalid one.  Plain colex is the same walk with more classes
+than elements, since the first `size` k-sets lie in [k + size - 1].
+`colex_unrank` and `rpartite_valid` are the per-set definitions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, count, islice
 from math import comb
 from typing import Iterable, Iterator
 
@@ -22,9 +28,7 @@ __all__ = [
     "colex_rank",
     "colex_unrank",
     "ffk_min_shadow",
-    "format_family",
     "kk_min_shadow",
-    "parse_family",
     "rpartite_colex_initial_segment",
     "rpartite_valid",
     "shadow",
@@ -129,20 +133,43 @@ def shadow(family: KSetFamily, p: int) -> KSetFamily:
     return KSetFamily(p, tuple(sorted(out, key=colex_key)))
 
 
+def _rpartite_walk(r: int, k: int, tops: Iterable[int], used: int = 0) -> Iterator[KSet]:
+    """The k-sets of the r-partite colex order whose largest element is in `tops`.
+
+    `tops` ascends, and no element may lie in a residue class of the
+    `used` bitmask.  Colex lists the sets by largest element t, then the
+    rest in colex order, so the sets topped by t are t appended to the
+    (k - 1)-sets below t outside t's class, walked the same way.
+    """
+    for t in tops:
+        cls = 1 << t % r
+        if used & cls:
+            continue
+        if k == 1:
+            yield (t,)
+        else:
+            for rest in _rpartite_walk(r, k - 1, range(k - 1, t), used | cls):
+                yield rest + (t,)
+
+
+def _initial_segment(r: int, k: int, size: int) -> KSetFamily:
+    """The first `size` sets of the walk; an empty segment is valid for any k."""
+    if size and k < 1:
+        raise ValueError("k must be at least 1")
+    return KSetFamily(k, tuple(islice(_rpartite_walk(r, k, count(k)), size)))
+
+
 def colex_initial_segment(k: int, size: int) -> KSetFamily:
     """The first `size` k-sets in colex order."""
     if size < 0:
         raise ValueError("size must be nonnegative")
-    return KSetFamily(k, tuple(colex_unrank(i, k) for i in range(size)))
+    # the segment lies in [k + size - 1], so every element is its own class
+    return _initial_segment(k + size, k, size)
 
 
 def kk_min_shadow(k: int, size: int, p: int) -> int:
     """Kruskal-Katona lower bound: the p-shadow size of the colex initial segment."""
-    if not 1 <= p < k:
-        raise ValueError(f"shadow level must satisfy 1 <= p < {k}, got {p}")
-    if size == 0:
-        return 0
-    return len(shadow(colex_initial_segment(k, size), p))
+    return ffk_min_shadow(k + size, k, size, p)
 
 
 def rpartite_valid(a: Iterable[int], r: int) -> bool:
@@ -156,9 +183,8 @@ def rpartite_valid(a: Iterable[int], r: int) -> bool:
 def rpartite_colex_initial_segment(r: int, k: int, size: int) -> KSetFamily:
     """The first `size` k-sets of the r-partite colex order.
 
-    Produced by streaming the global colex order and filtering on residue
-    validity; the restricted order is exactly the global one on the valid
-    sets, so no separate unrank is needed.
+    That order is the colex order restricted to the sets with pairwise
+    distinct residues mod r; the sets are walked in it directly.
     """
     if size < 0:
         raise ValueError("size must be nonnegative")
@@ -166,14 +192,7 @@ def rpartite_colex_initial_segment(r: int, k: int, size: int) -> KSetFamily:
         raise ValueError("r must be at least 2")
     if k > r:
         raise ValueError(f"no valid {k}-sets exist for r={r}")
-    picked = []
-    rank = 0
-    while len(picked) < size:
-        s = colex_unrank(rank, k)
-        if rpartite_valid(s, r):
-            picked.append(s)
-        rank += 1
-    return KSetFamily(k, tuple(picked))
+    return _initial_segment(r, k, size)
 
 
 def ffk_min_shadow(r: int, k: int, size: int, p: int) -> int:
@@ -183,27 +202,3 @@ def ffk_min_shadow(r: int, k: int, size: int, p: int) -> int:
     if size == 0:
         return 0
     return len(shadow(rpartite_colex_initial_segment(r, k, size), p))
-
-
-def parse_family(text: str) -> KSetFamily:
-    """Parse the family text format: one set per line, ascending elements."""
-    sets = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        try:
-            sets.append(tuple(int(tok) for tok in line.split()))
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: non-integer element in {raw!r}") from exc
-    if not sets:
-        raise ValueError("empty family text")
-    k = len(sets[0])
-    return KSetFamily.of(k, sets)
-
-
-def format_family(family: KSetFamily) -> str:
-    """Serialize a family, one set per line in colex order."""
-    return "\n".join(" ".join(str(x) for x in s) for s in family) + (
-        "\n" if len(family) else ""
-    )

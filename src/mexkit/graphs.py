@@ -116,9 +116,6 @@ class Graph:
         """Edges as (u, v) with u < v, in colex order."""
         return _colex_edges(self.adjacency)
 
-    def isolated_vertices(self) -> list[int]:
-        return [v for v in self.vertices() if self.adjacency[v] == 0]
-
     @cached_property
     def _successors(self) -> tuple[int, ...]:
         """Each vertex's larger-labeled neighbors, cached for the per-vertex and per-edge counts.

@@ -241,15 +241,11 @@ def canonical_form(g: Graph) -> tuple:
     _component_bits; two graphs get equal keys exactly when they are
     isomorphic, and _graph_from_items rebuilds the representative.
     """
-    return _form(g.adjacency)
-
-
-def _form(adjacency: Sequence[int]) -> tuple:
-    """canonical_form of the graph with this padded adjacency, no Graph needed."""
     items = sorted(
-        (len(vs), _component_bits(adjacency, vs)[0]) for vs in _component_vertex_lists(adjacency)
+        (len(vs), _component_bits(g.adjacency, vs)[0])
+        for vs in _component_vertex_lists(g.adjacency)
     )
-    return (len(adjacency) - 1, tuple(items))
+    return (g.vertex_count, tuple(items))
 
 
 def _graph_from_items(n: int, items: tuple[tuple[int, tuple[int, ...]], ...]) -> Graph:

@@ -1,5 +1,5 @@
 import random
-from itertools import combinations
+from itertools import combinations, count
 
 import pytest
 
@@ -11,9 +11,7 @@ from mexkit.colex import (
     colex_rank,
     colex_unrank,
     ffk_min_shadow,
-    format_family,
     kk_min_shadow,
-    parse_family,
     rpartite_colex_initial_segment,
     rpartite_valid,
     shadow,
@@ -137,6 +135,56 @@ class TestInitialSegments:
                     assert len(shadow(fam, 2)) >= bound
 
 
+# (function, arguments, message) for every ValueError the segment builders
+# and the shadow bounds raise; the order of the checks decides which message
+# a call with several faults gets
+SEGMENT_ERRORS = [
+    (colex_initial_segment, (3, -1), "size must be nonnegative"),
+    (colex_initial_segment, (-5, -1), "size must be nonnegative"),
+    (colex_initial_segment, (0, 1), "k must be at least 1"),
+    (colex_initial_segment, (-5, 1), "k must be at least 1"),
+    (rpartite_colex_initial_segment, (3, 2, -1), "size must be nonnegative"),
+    (rpartite_colex_initial_segment, (1, 5, -1), "size must be nonnegative"),
+    (rpartite_colex_initial_segment, (1, 2, 0), "r must be at least 2"),
+    (rpartite_colex_initial_segment, (1, -5, 1), "r must be at least 2"),
+    (rpartite_colex_initial_segment, (3, 4, 0), "no valid 4-sets exist for r=3"),
+    (rpartite_colex_initial_segment, (3, 4, 1), "no valid 4-sets exist for r=3"),
+    (rpartite_colex_initial_segment, (3, 0, 1), "k must be at least 1"),
+    (rpartite_colex_initial_segment, (3, -5, 1), "k must be at least 1"),
+    (kk_min_shadow, (3, 4, 3), "shadow level must satisfy 1 <= p < 3, got 3"),
+    (kk_min_shadow, (3, 4, 0), "shadow level must satisfy 1 <= p < 3, got 0"),
+    (kk_min_shadow, (0, 4, 1), "shadow level must satisfy 1 <= p < 0, got 1"),
+    (kk_min_shadow, (3, -1, 2), "size must be nonnegative"),
+    (ffk_min_shadow, (3, 3, 4, 3), "shadow level must satisfy 1 <= p < 3, got 3"),
+    (ffk_min_shadow, (1, 3, -1, 0), "shadow level must satisfy 1 <= p < 3, got 0"),
+    (ffk_min_shadow, (3, 3, -1, 2), "size must be nonnegative"),
+    (ffk_min_shadow, (1, 3, 1, 2), "r must be at least 2"),
+    (ffk_min_shadow, (2, 3, 1, 2), "no valid 3-sets exist for r=2"),
+]
+
+
+class TestSegmentErrors:
+    @pytest.mark.parametrize(
+        "func, args, message",
+        SEGMENT_ERRORS,
+        ids=[f"{f.__name__}{args}" for f, args, _ in SEGMENT_ERRORS],
+    )
+    def test_error_type_and_message(self, func, args, message):
+        with pytest.raises(ValueError) as info:
+            func(*args)
+        assert type(info.value) is ValueError
+        assert str(info.value) == message
+
+    def test_empty_requests_are_not_errors(self):
+        # size 0 asks for nothing, so k <= 0 is not checked, and a zero-size
+        # shadow bound is 0 before r is looked at
+        for k in (0, -5):
+            assert colex_initial_segment(k, 0) == KSetFamily(k, ())
+            assert rpartite_colex_initial_segment(3, k, 0) == KSetFamily(k, ())
+        assert ffk_min_shadow(1, 3, 0, 2) == 0
+        assert ffk_min_shadow(2, 3, 0, 2) == 0
+
+
 class TestRPartite:
     def test_validity_examples(self):
         assert not rpartite_valid((3, 9), 3)
@@ -158,14 +206,25 @@ class TestRPartite:
             rpartite_colex_initial_segment(3, 4, 1)
 
     def test_segment_matches_direct_filter(self):
-        for r, k in ((3, 3), (4, 3), (5, 4), (3, 2)):
-            all_valid = sorted(
-                (s for s in combinations(range(1, 15), k) if rpartite_valid(s, r)),
-                key=colex_key,
-            )
-            for size in (0, 1, 5, 12, 20):
-                seg = list(rpartite_colex_initial_segment(r, k, size))
-                assert seg == all_valid[:size]
+        sizes = (0, 1, 2, 5, 12, 20, 57, 128, 300)
+        for r in range(2, 7):
+            for k in range(1, r + 1):
+                # grow the ground set until it holds sizes[-1] valid sets; the
+                # sets inside [n] are a colex prefix, so no window clips
+                for n in count(k):
+                    all_valid = sorted(
+                        (s for s in combinations(range(1, n + 1), k) if rpartite_valid(s, r)),
+                        key=colex_key,
+                    )
+                    if len(all_valid) >= sizes[-1]:
+                        break
+                for size in sizes:
+                    seg = list(rpartite_colex_initial_segment(r, k, size))
+                    assert seg == all_valid[:size], (r, k, size)
+        for k in range(1, 7):
+            for size in sizes:
+                seg = list(colex_initial_segment(k, size))
+                assert seg == [colex_unrank(i, k) for i in range(size)], (k, size)
 
 
 class TestFamilyType:
@@ -180,7 +239,3 @@ class TestFamilyType:
     def test_size_mismatch_rejected(self):
         with pytest.raises(ValueError):
             KSetFamily.of(2, [(1, 2, 3)])
-
-    def test_text_round_trip(self):
-        fam = KSetFamily.of(3, [(1, 2, 3), (2, 4, 6), (1, 3, 5)])
-        assert parse_family(format_family(fam)) == fam
