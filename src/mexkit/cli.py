@@ -447,7 +447,9 @@ def _cmd_process_run(args: argparse.Namespace) -> int:
 
 def _cmd_process_stability(args: argparse.Namespace) -> int:
     g = _load_graph(args.input)
-    report = processes.stability_experiment(g, args.r, args.s, args.epsilon)
+    report = processes.stability_experiment(
+        g, args.r, args.s, args.epsilon, cap=_cap(oracle.DEFAULT_PARTITION_CAP)
+    )
     _emit(dataclasses.asdict(report))
     return EXIT_OK
 

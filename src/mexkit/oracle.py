@@ -1,13 +1,14 @@
 """Exhaustive brute-force search engines for desk-scale verification.
 
-Everything here is exact and deterministic.  _grow builds the graph
-classes level by level: a class tries one augmentation per orbit of the
-automorphisms its own labeling met, keeps a child only when a fixed
-deletion rule would undo the step, and the level keeps one canonical
-representative per form; _knapsack walks the multisets of connected
-classes that make up the graphs with m edges.  Safety caps guard every
-search whose space is super-exponential; they raise CapExceededError,
-and cap=None (CLI: MEXKIT_CAP_OVERRIDE=1) overrides them deliberately.
+Everything here is exact and deterministic.  _levels builds the graph
+classes level by level into one store keyed by (move, forbidden form): a
+class tries one move per orbit of the automorphisms its own labeling
+met, keeps a child only when a fixed deletion rule would undo the move,
+and the level keeps one canonical representative per form; _knapsack
+walks the multisets of connected classes that make up the graphs with m
+edges.  Safety caps guard every search whose space is super-exponential;
+they raise CapExceededError, and cap=None (CLI: MEXKIT_CAP_OVERRIDE=1)
+overrides them deliberately.
 """
 
 from __future__ import annotations
@@ -274,14 +275,18 @@ def canonical_graph(g: Graph) -> Graph:
 # enumeration up to isomorphism
 # ---------------------------------------------------------------------------
 
-# levels[j] = connected graphs with j edges, canonical form -> canonical
-# representative, in form order; level 0 is the one-vertex graph
-_CONNECTED_LEVELS: list[dict[tuple, Graph]] = [{(1, ((1, ()),)): Graph(1, (0, 0))}]
+# (move, canonical form of the forbidden graph or None) -> levels, each
+# mapping canonical form -> canonical representative in form order:
+# ("edge", None) holds the connected graphs by edge count, level 0 the
+# one-vertex graph; ("vertex", F's form) the F-free graphs by vertex count,
+# level 0 the empty graph.  The levels are extended in place and pay off
+# when one process asks for them again, as `verify zykov` does for each n
+_LEVELS: dict[tuple, list[dict[tuple, Graph]]] = {}
 
 # component item (size, bits) -> generators of its automorphism group on
 # canonical positions, as _component_bits last found them for a grown child;
 # a missing item (a single vertex has no entry) only costs pruning, since
-# _grow still keeps one representative per form
+# _levels still keeps one representative per form
 _AUTOMORPHISMS: dict[tuple, tuple[tuple[int, ...], ...]] = {}
 
 
@@ -350,63 +355,62 @@ def _mask_image(p: list[int], mask: int) -> int:
     return sum(1 << p[v] for v in _bits(mask))
 
 
-def _grow(
-    level: dict[tuple, Graph], children: Callable[[tuple, Graph], Iterable[tuple]]
-) -> dict[tuple, Graph]:
-    """The next level: one canonical representative per form of the kept children.
+def _levels(
+    key: tuple,
+    seed: dict[tuple, Graph],
+    upto: int,
+    children: Callable[[tuple, Graph], Iterable[tuple]],
+) -> list[dict[tuple, Graph]]:
+    """Levels 0..upto under key in _LEVELS, level 0 being seed, extended in place.
 
     children(form, h) yields the canonical form of each child of the
     class h that its level builder keeps, one per orbit of h's
-    automorphisms; isomorphic children of different parents still
-    meet, so the level maps each form to its representative, in form
+    automorphisms; isomorphic children of different parents still meet,
+    so the next level maps each form to its representative, in form
     order.
     """
-    grown: dict[tuple, Graph] = {}
-    for form, h in level.items():
-        for child in children(form, h):
-            if child not in grown:
-                grown[child] = _graph_from_items(*child)
-    return dict(sorted(grown.items()))
+    levels = _LEVELS.setdefault(key, [seed])
+    while len(levels) <= upto:
+        grown: dict[tuple, Graph] = {}
+        for form, h in levels[-1].items():
+            for child in children(form, h):
+                if child not in grown:
+                    grown[child] = _graph_from_items(*child)
+        levels.append(dict(sorted(grown.items())))
+    return levels
 
 
 def _connected_upto(m: int) -> list[dict[tuple, Graph]]:
     """Connected graphs with up to m edges, one canonical representative each.
 
-    Level j is grown from level j-1 by adding either an edge between two
-    existing vertices or a pendant edge to a fresh vertex, one per orbit
-    of the parent's automorphisms on its non-edges and on its vertices,
-    and a child is kept only when the added edge is a deletable edge of
-    least key (_least_deletable).  This is exact: every connected graph
-    with at least 1 edge has a deletable edge of least key, and deleting
-    it (with its leaf, if pendant) leaves a connected class of level j-1,
-    to which adding the edge back is one of the moves; an automorphism
-    of the parent carries the move, and the rule, to its orbit leader.
-    A kept child is connected, so it is labeled whole.
+    Level j is grown from level j-1 by adding an edge uv, u < v, between
+    two vertices of the parent padded with a fresh vertex n+1 (a pendant
+    edge when v = n+1), one per orbit of the parent's automorphisms,
+    which fix n+1, on those pairs; a child is kept only when the added
+    edge is a deletable edge of least key (_least_deletable).  This is
+    exact: every connected graph with at least 1 edge has a deletable
+    edge of least key, and deleting it (with its leaf, if pendant) leaves
+    a connected class of level j-1, to which adding the edge back is one
+    of the moves; an automorphism of the parent carries the move, and the
+    rule, to its orbit leader.  A kept child is connected, so it is
+    labeled whole.
     """
 
     def children(form: tuple, h: Graph) -> Iterator[tuple]:
         n, items = form
-        gens = _class_generators(items)
-        adj = list(h.adjacency)
-        non_edges = [(u, v) for v in range(2, n + 1) for u in range(1, v) if not adj[u] >> v & 1]
-        for u, v in _orbit_leaders(non_edges, gens, _pair_image):
+        gens = [[*p, n + 1] for p in _class_generators(items)]
+        adj = [*h.adjacency, 0]
+        moves = [(u, v) for v in range(2, n + 2) for u in range(1, v) if not adj[u] >> v & 1]
+        for u, v in _orbit_leaders(moves, gens, _pair_image):
             adj[u] ^= 1 << v
             adj[v] ^= 1 << u
             if _least_deletable(adj, u, v):
-                yield (n, (_labeled_item(adj, list(range(1, n + 1))),))
+                k = max(n, v)
+                yield (k, (_labeled_item(adj, list(range(1, k + 1))),))
             adj[u] ^= 1 << v
             adj[v] ^= 1 << u
-        adj.append(0)
-        for u in _orbit_leaders(range(1, n + 1), gens, list.__getitem__):
-            adj[u] ^= 1 << n + 1
-            adj[n + 1] = 1 << u
-            if _least_deletable(adj, u, n + 1):
-                yield (n + 1, (_labeled_item(adj, list(range(1, n + 2))),))
-            adj[u] ^= 1 << n + 1
 
-    while len(_CONNECTED_LEVELS) <= m:
-        _CONNECTED_LEVELS.append(_grow(_CONNECTED_LEVELS[-1], children))
-    return _CONNECTED_LEVELS
+    return _levels(("edge", None), {(1, ((1, ()),)): Graph(1, (0, 0))}, m, children)
 
 
 def _least_deletable(adj: Sequence[int], u: int, v: int) -> bool:
@@ -513,13 +517,9 @@ def enumerate_graphs(m: int, *, cap: int | None = DEFAULT_EDGE_CAP) -> Iterator[
 
 
 def _clique_order(f: Graph) -> int | None:
-    """k if f is the complete graph K_k, else None (enables fast freeness tests)."""
+    """k if f is K_k, i.e. has all C(k, 2) edges on its k vertices, else None."""
     k = f.vertex_count
-    if k and f.edge_count == comb(k, 2) and all(
-        f.adjacency[v].bit_count() == k - 1 for v in f.vertices()
-    ):
-        return k
-    return None
+    return k if k and f.edge_count == comb(k, 2) else None
 
 
 def _is_free(g: Graph, forbidden: Graph, forb_k: int | None) -> bool:
@@ -623,9 +623,9 @@ def brute_force_ex(
     forbidden graph: deleting a least-degree vertex of a free graph
     leaves a free class of level k-1 (freeness survives vertex
     deletion), adding that vertex back is one of the children, and an
-    automorphism of h carries it to its orbit's leader.  The levels are
-    kept across calls, keyed by the canonical form of the forbidden
-    graph, so a call only extends them up to n.  search_space_size
+    automorphism of h carries it to its orbit's leader.  The levels stay
+    in the _LEVELS store under ("vertex", canonical form of the forbidden
+    graph), so a call only extends them up to n.  search_space_size
     counts the free classes on n vertices.
     """
     if n < 1:
@@ -638,15 +638,8 @@ def brute_force_ex(
     return _search_result(level, t, len(level), start)
 
 
-# levels[k] = free graphs on k vertices, canonical form -> canonical
-# representative in form order, keyed by canonical_form of the forbidden graph;
-# they pay off only when one process asks for the same forbidden graph again,
-# as `verify zykov` does for each n in turn
-_FREE_LEVELS: dict[tuple, list[dict[tuple, Graph]]] = {}
-
-
 def _free_upto(n: int, forbidden: Graph) -> list[dict[tuple, Graph]]:
-    """The free levels 0..n of brute_force_ex, extended in place in _FREE_LEVELS.
+    """The free levels 0..n of brute_force_ex, extended in place in _LEVELS.
 
     A parent tries one neighbourhood per orbit of its automorphisms among
     those the degree rule allows, and a free child relabels only the
@@ -654,7 +647,6 @@ def _free_upto(n: int, forbidden: Graph) -> list[dict[tuple, Graph]]:
     not touch keep their items.  The 0-vertex seed is not tested for
     freeness; brute_force_ex reads only the levels n >= 1.
     """
-    levels = _FREE_LEVELS.setdefault(canonical_form(forbidden), [{(0, ()): Graph(0, (0,))}])
     forb_k = _clique_order(forbidden)
 
     def children(form: tuple, h: Graph) -> Iterator[tuple]:
@@ -691,9 +683,8 @@ def _free_upto(n: int, forbidden: Graph) -> list[dict[tuple, Graph]]:
             kept.append(_labeled_item(adj, list(_bits(comp))) if nbrs else (1, ()))
             yield (k, tuple(sorted(kept)))
 
-    while len(levels) <= n:
-        levels.append(_grow(levels[-1], children))
-    return levels
+    key = ("vertex", canonical_form(forbidden))
+    return _levels(key, {(0, ()): Graph(0, (0,))}, n, children)
 
 
 # ---------------------------------------------------------------------------

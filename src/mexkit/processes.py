@@ -35,7 +35,7 @@ from .graphs import (
     contains_clique,
     count_cliques,
 )
-from .oracle import min_edits_to_r_partite
+from .oracle import DEFAULT_PARTITION_CAP, min_edits_to_r_partite
 
 __all__ = [
     "PartialVertex",
@@ -301,11 +301,6 @@ def vertex_deletion_process(g: Graph, config: ProcessConfig) -> ProcessTrace:
                 best = (v, d)
         return best[0] if best is not None else None
 
-    if config.edge_budget == 0:
-        spared = pick_vertex()
-        partial = PartialVertex(spared, ()) if spared is not None else None
-        return ProcessTrace((), g, spared is not None, partial)
-
     while True:
         v = pick_vertex()
         if v is None:
@@ -383,17 +378,20 @@ class StabilityReport:
     partial_trim: bool
 
 
-def stability_experiment(g: Graph, r: int, s: int, epsilon: float) -> StabilityReport:
+def stability_experiment(
+    g: Graph, r: int, s: int, epsilon: float, *, cap: int | None = DEFAULT_PARTITION_CAP
+) -> StabilityReport:
     """Measure how close a K_{r+1}-free graph is to extremal and to r-partite.
 
     Inputs containing a K_{r+1} still get a report (flagged via
-    input_clique_free); nothing is asserted about them.
+    input_clique_free); nothing is asserted about them.  cap bounds the
+    exact r-partite edit count as in min_edits_to_r_partite.
     """
     m = g.edge_count
     kappa = count_cliques(g, s)
     extremal_value = mex_clique(m, s, r)
     ratio = kappa / extremal_value if extremal_value else None
-    edits = min_edits_to_r_partite(g, r)
+    edits = min_edits_to_r_partite(g, r, cap=cap)
     config = default_vertex_config(g, s, r, epsilon)
     trace = vertex_deletion_process(g, config)
     removed = {step.item for step in trace.steps}

@@ -581,6 +581,21 @@ class TestProcess:
         assert payload["ratio"] == 1.0
         assert payload["edits_to_partite"] == 0
 
+    def test_stability_cap_override_env(self, capsys, tmp_path, monkeypatch):
+        # one component on 18 vertices: past the exact partition cap of 16
+        from mexkit.constructions import turan_graph
+
+        path = tmp_path / "t18.edges"
+        path.write_text(format_edge_list(turan_graph(3, 18)))
+        argv = ("process", "stability", "--input", str(path), "--r", "3", "--s", "3",
+                "--epsilon", "0.1")
+        monkeypatch.delenv("MEXKIT_CAP_OVERRIDE", raising=False)
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, "") and "MEXKIT_CAP_OVERRIDE=1" in err
+        monkeypatch.setenv("MEXKIT_CAP_OVERRIDE", "1")
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and '"edits_to_partite":0' in out
+
     def test_proof_constants(self, capsys):
         code, out, _ = run(
             capsys, "process", "constants", "--r", "3", "--s", "3", "--epsilon", "0.1"

@@ -297,6 +297,22 @@ class TestAutomorphisms:
                 gens = _labeled_generators(_shuffled(g, rng))
                 assert _vertex_and_pair_orbits(n, gens) == want, form
 
+    def test_store_order_does_not_matter(self, monkeypatch):
+        # both builders share _LEVELS and _AUTOMORPHISMS; building one
+        # first must not change the other's levels
+        built = []
+        for connected_first in (True, False):
+            monkeypatch.setattr(oracle, "_LEVELS", {})
+            monkeypatch.setattr(oracle, "_AUTOMORPHISMS", {})
+            if connected_first:
+                oracle._connected_upto(7)
+            oracle._free_upto(6, complete_graph(7))
+            oracle._connected_upto(7)
+            store = oracle._LEVELS
+            built.append({key: [list(level.items()) for level in store[key]] for key in store})
+        assert built[0] == built[1]
+        assert sorted(move for move, _ in built[0]) == ["edge", "vertex"]
+
     def test_pruning_keeps_labelings_down(self, monkeypatch):
         # cold levels: one labeling per orbit of a parent's automorphisms,
         # so only children of different parents repeat a class
@@ -309,8 +325,7 @@ class TestAutomorphisms:
 
         monkeypatch.setattr(oracle, "_component_bits", counted)
         monkeypatch.setattr(oracle, "_AUTOMORPHISMS", {})
-        monkeypatch.setattr(oracle, "_CONNECTED_LEVELS", oracle._CONNECTED_LEVELS[:1])
-        monkeypatch.setattr(oracle, "_FREE_LEVELS", {})
+        monkeypatch.setattr(oracle, "_LEVELS", {})
         assert sum(map(len, oracle._connected_upto(7)[1:])) == 131
         assert len(calls) <= 139
         calls.clear()
@@ -494,12 +509,12 @@ class TestBruteForceEx:
         ]
         cold = []
         for n, t, f in calls:
-            monkeypatch.setattr(oracle, "_FREE_LEVELS", {})
+            monkeypatch.setattr(oracle, "_LEVELS", {})
             cold.append(fields(brute_force_ex(n, t, f)))
-        monkeypatch.setattr(oracle, "_FREE_LEVELS", {})
+        monkeypatch.setattr(oracle, "_LEVELS", {})
         warm = [fields(brute_force_ex(n, t, f)) for n, t, f in calls]
         assert warm == cold
-        assert len(oracle._FREE_LEVELS) == 3
+        assert [move for move, _ in oracle._LEVELS] == ["vertex"] * 3
 
     def test_general_forbidden_graph(self):
         # forbidding the 4-cycle on 4 vertices: 5 edges force the diamond,

@@ -15,6 +15,7 @@ from mexkit.constructions import (
 from mexkit.extremal import beta
 from mexkit.graphs import Graph, count_cliques, graph_from_edges
 from mexkit.processes import (
+    PartialVertex,
     ProcessConfig,
     default_edge_config,
     default_vertex_config,
@@ -65,7 +66,12 @@ class TestConfig:
         # with no edge and a negative exponent the threshold is never a power of 0
         empty = Graph(3, (0, 0, 0, 0))
         negative = dataclasses.replace(config, exponent=-1e308, edge_budget=0)
-        assert run(empty, negative).steps == ()
+        trace = run(empty, negative)
+        # the budget 0 covers each isolated vertex, so the vertex process
+        # deletes all three at no cost
+        want = [("vertex", v, 0, 0) for v in (1, 2, 3)] if config.mode == "vertex" else []
+        assert [dataclasses.astuple(step) for step in trace.steps] == want
+        assert not trace.budget_exhausted
 
     def test_defaults(self):
         g = turan_graph(3, 6)
@@ -298,6 +304,15 @@ class TestVertexProcess:
         assert trace.steps == () and trace.final_graph == g
         assert trace.budget_exhausted  # a qualifying vertex existed
         assert trace.partial_last_vertex.removed_edges == ()
+
+    def test_zero_budget_deletes_zero_cost_vertices(self):
+        # a vertex of degree 0 costs nothing, so the budget 0 covers it;
+        # the next qualifying vertex is spared with no edge trimmed
+        g = graph_from_edges([(1, 2), (2, 3)], 4)
+        trace = vertex_deletion_process(g, vertex_config(g, 1.0, 0))
+        assert [dataclasses.astuple(step) for step in trace.steps] == [("vertex", 4, 0, 2)]
+        assert trace.partial_last_vertex == PartialVertex(1, ())
+        assert trace.budget_exhausted and trace.final_graph == g
 
     def test_partial_final_vertex(self):
         g = complete_graph(4)
