@@ -66,14 +66,7 @@ def _print_graph(g: graphs.Graph, fmt: str, meta: dict) -> None:
     if fmt == "edges":
         sys.stdout.write(graphs.format_edge_list(g))
     else:
-        _emit(
-            meta
-            | {
-                "n": g.vertex_count,
-                "m": g.edge_count,
-                "edges": [[u, v] for u, v in g.edges()],
-            }
-        )
+        _emit(meta | {"n": g.vertex_count, "m": g.edge_count, "edges": list(g.edges())})
 
 
 # ---------------------------------------------------------------------------
@@ -117,28 +110,28 @@ def _cmd_count(args: argparse.Namespace) -> int:
     g = _load_graph(args.input)
     base = {"n": g.vertex_count, "m": g.edge_count}
     if args.profile:
-        _emit(base | {"profile": list(graphs.clique_profile(g).counts)})
+        _emit(base | {"profile": graphs.clique_profile(g).counts})
     elif args.vertex is not None:
         value = graphs.cliques_at_vertex(g, args.vertex, args.s)
         _emit(base | {"vertex": args.vertex, "s": args.s, "value": value})
     elif args.edge is not None:
-        u, v = args.edge
-        value = graphs.cliques_at_edge(g, (u, v), args.s)
-        _emit(base | {"edge": [u, v], "s": args.s, "value": value})
+        value = graphs.cliques_at_edge(g, tuple(args.edge), args.s)
+        _emit(base | {"edge": args.edge, "s": args.s, "value": value})
     elif args.min_degrees:
         dv, de = graphs.min_clique_degrees(g, args.s)
         _emit(base | {"s": args.s, "min_vertex": dv, "min_edge": de})
     else:
-        if args.t is None:
-            raise ValueError("one of --t, --profile, --vertex, --edge, --min-degrees is required")
         _emit(base | {"t": args.t, "value": graphs.count_cliques(g, args.t)})
     return EXIT_OK
 
 
 def _cmd_mex(args: argparse.Namespace) -> int:
+    # the rules an exclusive group cannot state
+    if args.profile != (args.m_max is not None):
+        raise ValueError("--m-max goes with --profile, and only with it")
+    if args.format == "csv" and not args.profile:
+        raise ValueError("--format csv goes with --profile")
     if args.profile:
-        if args.m_max is None:
-            raise ValueError("--profile requires --m-max")
         values = extremal.mex_profile(args.r, args.s, args.m_max)
         if args.format == "json":
             _emit({"r": args.r, "s": args.s, "m_max": args.m_max, "values": values})
@@ -147,8 +140,6 @@ def _cmd_mex(args: argparse.Namespace) -> int:
             for i, value in enumerate(values, start=1):
                 print(f"{i},{value}")
         return EXIT_OK
-    if args.m is None:
-        raise ValueError("--m is required (or use --profile)")
     value = extremal.mex_clique(args.m, args.s, args.r)
     _emit({"m": args.m, "s": args.s, "r": args.r, "value": value})
     return EXIT_OK
@@ -383,12 +374,10 @@ def _cmd_search_min_edits(args: argparse.Namespace) -> int:
 
 def _cmd_search_blowup(args: argparse.Namespace) -> int:
     g = _load_graph(args.input)
-    found, parts = oracle.find_blowup(
-        g, args.parts, args.t, cap_override=os.environ.get("MEXKIT_CAP_OVERRIDE") == "1"
-    )
+    found, parts = oracle.find_blowup(g, args.parts, args.t, cap=_cap(oracle.DEFAULT_BLOWUP_CAP))
     payload: dict = {"parts": args.parts, "t": args.t, "found": found}
     if found:
-        payload["witness"] = [list(p) for p in parts]
+        payload["witness"] = parts
     _emit(payload)
     return EXIT_OK
 
@@ -400,12 +389,11 @@ def _cmd_search_blowup(args: argparse.Namespace) -> int:
 
 def _trace_to_lines(trace: processes.ProcessTrace) -> None:
     for i, step in enumerate(trace.steps):
-        item = list(step.item) if isinstance(step.item, tuple) else step.item
         _emit(
             {
                 "step": i,
                 "kind": step.kind,
-                "item": item,
+                "item": step.item,
                 "value": step.value,
                 "edges_after": step.edges_after,
             }
@@ -418,9 +406,7 @@ def _trace_to_lines(trace: processes.ProcessTrace) -> None:
     }
     if trace.partial_last_vertex is not None:
         summary["partial_vertex"] = trace.partial_last_vertex.vertex
-        summary["partial_edges"] = [
-            list(e) for e in trace.partial_last_vertex.removed_edges
-        ]
+        summary["partial_edges"] = trace.partial_last_vertex.removed_edges
     _emit(summary)
 
 
@@ -490,8 +476,7 @@ class _Group:
 # An argument spec is a bare flag, for a required int; a (flag, add_argument
 # keywords) pair; or a list of such pairs, for a required mutually exclusive
 # group.  argparse derives each dest from its flag.
-_INPUT = ("--input", {"required": True})
-_INPUT_FILE = ("--input", {"required": True, "help": "edge-list file ('-' for stdin)"})
+_INPUT = ("--input", {"required": True, "help": "edge-list file ('-' for stdin)"})
 _EPSILON = ("--epsilon", {"type": float, "required": True})
 _GRAPH_FORMAT = ("--format", {"choices": ("edges", "json"), "default": "edges"})
 _FORBID = [("--forbid-clique", {"type": int}), ("--forbid-file", {})]
@@ -513,21 +498,25 @@ _COMMANDS: dict[str, _Command | _Group] = {
         "turan": _Command(_cmd_construct, ("--r", "--n", _GRAPH_FORMAT)),
         "colex": _Command(_cmd_construct, ("--m", _GRAPH_FORMAT)),
         "ct": _Command(_cmd_construct, ("--r", "--m", _GRAPH_FORMAT)),
-        "blowup": _Command(_cmd_construct, (_INPUT_FILE, "--t", _GRAPH_FORMAT)),
+        "blowup": _Command(_cmd_construct, (_INPUT, "--t", _GRAPH_FORMAT)),
         "gadget": _Command(_cmd_construct, ("--r", "--m", _GRAPH_FORMAT)),
     }),
     "count": _Command(_cmd_count, (
-        _INPUT_FILE,
-        ("--t", {"type": int, "help": "count t-cliques"}),
-        ("--profile", {"action": "store_true", "help": "full clique profile"}),
-        ("--vertex", {"type": int, "help": "count s-cliques at this vertex"}),
-        ("--edge", {"type": int, "nargs": 2, "metavar": ("U", "V")}),
-        ("--min-degrees", {"action": "store_true"}),
-        ("--s", {"type": int, "default": 3}),
+        _INPUT,
+        [
+            ("--t", {"type": int, "help": "count t-cliques"}),
+            ("--profile", {"action": "store_true", "help": "full clique profile"}),
+            ("--vertex", {"type": int, "help": "count s-cliques at this vertex"}),
+            ("--edge", {"type": int, "nargs": 2, "metavar": ("U", "V")}),
+            ("--min-degrees", {"action": "store_true"}),
+        ],
+        ("--s", {
+            "type": int, "default": 3,
+            "help": "clique order for --vertex, --edge and --min-degrees (default 3)",
+        }),
     ), "exact clique counts of a graph file"),
     "mex": _Command(_cmd_mex, (
-        ("--m", {"type": int}), "--s", "--r",
-        ("--profile", {"action": "store_true"}),
+        [("--m", {"type": int}), ("--profile", {"action": "store_true"})], "--s", "--r",
         ("--m-max", {"type": int}),
         ("--format", {"choices": ("json", "csv")}),
     ), "extremal s-clique count at fixed edge count"),

@@ -36,6 +36,7 @@ from .graphs import (
 
 __all__ = [
     "CapExceededError",
+    "DEFAULT_BLOWUP_CAP",
     "DEFAULT_EDGE_CAP",
     "DEFAULT_FAMILY_CAP",
     "DEFAULT_PARTITION_CAP",
@@ -57,8 +58,8 @@ DEFAULT_VERTEX_CAP = 8
 DEFAULT_FAMILY_CAP = 10**7
 DEFAULT_PARTITION_CAP = 16
 DEFAULT_WITNESS_LIMIT = 16
+DEFAULT_BLOWUP_CAP = 30
 _BLOWUP_T_CAP = 3
-_BLOWUP_VERTEX_CAP = 30
 
 
 class CapExceededError(RuntimeError):
@@ -861,19 +862,21 @@ def _component_min_edits(g: Graph, verts: list[int], r: int) -> int:
 
 
 def find_blowup(
-    g: Graph, parts: int, t: int, *, cap_override: bool = False
+    g: Graph, parts: int, t: int, *, cap: int | None = DEFAULT_BLOWUP_CAP
 ) -> tuple[bool, tuple[tuple[int, ...], ...] | None]:
     """Search for a complete `parts`-partite subgraph with all parts of size t.
 
     Parts need only be completely joined to each other (non-induced
     containment), so edges inside a part are irrelevant.  Returns the
-    witness parts ordered by their minimum elements when found.
+    witness parts ordered by their minimum elements when found.  cap
+    bounds g's vertex count; the part size stays at most 3 unless cap
+    is None.
     """
     if parts < 1 or t < 1:
         raise ValueError("parts and t must be at least 1")
-    if not cap_override:
+    if cap is not None:
         _require_cap(t, _BLOWUP_T_CAP, "blowup part size")
-        _require_cap(g.vertex_count, _BLOWUP_VERTEX_CAP, "vertex count")
+        _require_cap(g.vertex_count, cap, "vertex count")
 
     def rec(prev_min: int, common: int, remaining: int) -> list[tuple[int, ...]] | None:
         if remaining == 0:

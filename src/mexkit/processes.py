@@ -400,7 +400,7 @@ def stability_experiment(
     m_final = final.edge_count
     if survivors:
         min_deg = min(final.degree(v) for v in survivors)
-        sqrt_ok = min_deg >= config.coefficient * math.sqrt(m_final)
+        sqrt_ok = min_deg >= _threshold(config, m_final)
         order_ok = min_deg >= ((r - 1) / r - 4 * epsilon) * len(survivors)
     else:
         min_deg = None

@@ -119,6 +119,24 @@ class TestExitCodes:
         code, _, err = run(capsys, "mex", "--m", "-3", "--s", "3", "--r", "3")
         assert code == 2 and "error" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("count", "--input", "G", "--t", "3", "--profile"),
+            ("count", "--input", "G", "--vertex", "1", "--edge", "1", "2"),
+            ("mex", "--m", "10", "--profile", "--m-max", "3", "--s", "3", "--r", "3"),
+            ("mex", "--m", "5", "--m-max", "9", "--s", "3", "--r", "3"),
+            ("mex", "--m", "5", "--format", "csv", "--s", "3", "--r", "3"),
+            ("mex", "--profile", "--s", "3", "--r", "3"),
+        ],
+    )
+    def test_dropped_flag_is_usage_error(self, capsys, tmp_path, argv):
+        # a flag its mode does not read, or a mode without the flag it needs
+        path = tmp_path / "g.edges"
+        path.write_text("1 2\n1 3\n2 3\n")
+        code, out, err = run(capsys, *(str(path) if a == "G" else a for a in argv))
+        assert (code, out) == (2, "") and "error: " in err
+
     def test_cap_exceeded(self, capsys):
         code, _, err = run(
             capsys, "search", "ex", "--n", "9", "--t", "2", "--forbid-clique", "3"
@@ -494,6 +512,16 @@ class TestSearch:
         payload = json.loads(out)
         assert payload["found"] is True and len(payload["witness"]) == 3
 
+    def test_blowup_cap_override_env(self, capsys, tmp_path, monkeypatch):
+        path = tmp_path / "k4.edges"
+        path.write_text("1 2\n1 3\n1 4\n2 3\n2 4\n3 4\n")
+        argv = ("search", "blowup", "--input", str(path), "--parts", "2", "--t", "4")
+        monkeypatch.delenv("MEXKIT_CAP_OVERRIDE", raising=False)
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, "") and "blowup part size 4" in err
+        monkeypatch.setenv("MEXKIT_CAP_OVERRIDE", "1")
+        assert run(capsys, *argv) == (0, '{"parts":2,"t":4,"found":false}\n', "")
+
 
 class TestProcess:
     def test_edge_trace_lines(self, capsys, tmp_path):
@@ -632,6 +660,17 @@ def _valid_flags(command):
     return flags, int_flag
 
 
+def _exclusive_corpus():
+    # the first two flags of each exclusive group, given together
+    for path, command in _command_paths():
+        flags, _ = _valid_flags(command)
+        for spec in command.args:
+            if isinstance(spec, list):
+                flag, keywords = spec[1]
+                second = [flag] if keywords.get("action") else [flag, "1"]
+                yield pytest.param([*path, *flags, *second], id=f"{' '.join(path)} exclusive")
+
+
 def _path_corpus():
     for path, command in _command_paths():
         flags, int_flag = _valid_flags(command)
@@ -640,6 +679,7 @@ def _path_corpus():
         yield pytest.param([*path, *flags[2:]], id=f"{name} missing")
         yield pytest.param([*path, *flags, int_flag, "x"], id=f"{name} bad int")
         yield pytest.param([*path, *flags, "--bogus"], id=f"{name} unknown flag")
+    yield from _exclusive_corpus()
     for argv in (
         [], ["-h"], ["verify"], ["verify", "-h"], ["bogus"], ["verify", "bogus"], ["--", "mex"]
     ):
@@ -652,6 +692,11 @@ class TestParserPaths:
         got = run(capsys, *argv)
         monkeypatch.setattr(cli, "_command_path", lambda argv: None)
         assert got == run(capsys, *argv)
+
+    @pytest.mark.parametrize("argv", _exclusive_corpus())
+    def test_exclusive_flags_are_usage_errors(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "") and "not allowed with argument" in err
 
     def test_same_namespace_as_the_full_parser(self):
         for path, command in _command_paths():

@@ -664,6 +664,11 @@ class TestFindBlowup:
         with pytest.raises(CapExceededError):
             find_blowup(complete_graph(4), 2, 4)
 
+    def test_cap_bounds_vertices_and_none_lifts_both(self):
+        with pytest.raises(CapExceededError, match="vertex count 5"):
+            find_blowup(complete_graph(5), 2, 1, cap=4)
+        assert find_blowup(complete_graph(4), 2, 4, cap=None) == (False, None)
+
     def test_agrees_with_containment_oracle(self):
         # a 2-part blowup of size 2 is the 4-cycle; a 3-part size-1 blowup
         # is the triangle
