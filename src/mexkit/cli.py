@@ -18,6 +18,7 @@ import argparse
 import dataclasses
 import json
 import os
+import re
 import sys
 from pathlib import Path
 from typing import Callable, Iterator, NoReturn
@@ -107,19 +108,23 @@ def _cmd_construct(args: argparse.Namespace) -> int:
 
 
 def _cmd_count(args: argparse.Namespace) -> int:
+    # the rule an exclusive group cannot state
+    if args.s is not None and (args.t is not None or args.profile):
+        raise ValueError("--s goes with --vertex, --edge or --min-degrees")
+    s = 3 if args.s is None else args.s
     g = _load_graph(args.input)
     base = {"n": g.vertex_count, "m": g.edge_count}
     if args.profile:
         _emit(base | {"profile": graphs.clique_profile(g).counts})
     elif args.vertex is not None:
-        value = graphs.cliques_at_vertex(g, args.vertex, args.s)
-        _emit(base | {"vertex": args.vertex, "s": args.s, "value": value})
+        value = graphs.cliques_at_vertex(g, args.vertex, s)
+        _emit(base | {"vertex": args.vertex, "s": s, "value": value})
     elif args.edge is not None:
-        value = graphs.cliques_at_edge(g, tuple(args.edge), args.s)
-        _emit(base | {"edge": args.edge, "s": args.s, "value": value})
+        value = graphs.cliques_at_edge(g, tuple(args.edge), s)
+        _emit(base | {"edge": args.edge, "s": s, "value": value})
     elif args.min_degrees:
-        dv, de = graphs.min_clique_degrees(g, args.s)
-        _emit(base | {"s": args.s, "min_vertex": dv, "min_edge": de})
+        dv, de = graphs.min_clique_degrees(g, s)
+        _emit(base | {"s": s, "min_vertex": dv, "min_edge": de})
     else:
         _emit(base | {"t": args.t, "value": graphs.count_cliques(g, args.t)})
     return EXIT_OK
@@ -321,6 +326,9 @@ def _emit_search(args: argparse.Namespace, res: oracle.SearchResult) -> None:
     if args.witnesses_dir:
         out = Path(args.witnesses_dir)
         out.mkdir(parents=True, exist_ok=True)
+        for old in out.glob("witness_*.edges"):  # an earlier dump, possibly a longer one
+            if re.fullmatch(r"witness_[0-9]+\.edges", old.name):
+                old.unlink()
         for i, w in enumerate(res.witnesses):
             (out / f"witness_{i}.edges").write_text(graphs.format_edge_list(w))
 
@@ -511,7 +519,7 @@ _COMMANDS: dict[str, _Command | _Group] = {
             ("--min-degrees", {"action": "store_true"}),
         ],
         ("--s", {
-            "type": int, "default": 3,
+            "type": int,
             "help": "clique order for --vertex, --edge and --min-degrees (default 3)",
         }),
     ), "exact clique counts of a graph file"),

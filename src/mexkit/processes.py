@@ -3,11 +3,15 @@
 The edge process repeatedly removes an edge lying in few s-cliques
 relative to the current edge count; the vertex process removes low-degree
 vertices against a square-root threshold, stopping exactly at an edge
-budget (trimming the final vertex partially if needed).  Both are
-deterministic: among qualifying items the one of minimum value is
-removed, ties broken by colex order (edges) or smallest label (vertices).
-Deleted vertices remain as isolated placeholders so labels stay stable
-and traces replay exactly.
+budget (trimming the final vertex partially if needed).  Both run one
+loop, _deletion_process.  At each step the mode's code gives the least
+live item and its value, ties broken by colex order (edges) or smallest
+label (vertices); the least value qualifies iff some item does, so the
+loop alone compares it with the threshold coefficient * m**exponent at
+the current edge count m.  It then stops, spares the item (the budget
+left cannot cover its cost: 1 edge, or the vertex's degree) or deletes
+it.  Deleted vertices remain as isolated placeholders so labels stay
+stable and traces replay exactly.
 
 Cost: the edge process counts each edge's s-cliques once, then after a
 deletion subtracts from each edge that shared an s-clique with the deleted
@@ -21,7 +25,9 @@ from __future__ import annotations
 
 import heapq
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
+from itertools import islice
 from math import factorial
 
 from .extremal import beta, c_rs, mex_clique
@@ -176,20 +182,16 @@ class ProcessTrace:
 
 
 def _threshold(config: ProcessConfig, m: int) -> float:
-    """coefficient * m**exponent, or its limit +inf at m = 0 under a negative exponent."""
+    """coefficient * m**exponent, or its limit +inf at m = 0 under a negative exponent.
+
+    Raises ValueError if m**exponent overflows a float.  Only the first
+    evaluation, at the input's edge count, can: the edge count only falls,
+    so m**exponent is largest there when exponent >= 0 and at most 1 below it.
+    """
     if m == 0 and config.exponent < 0:
         return math.inf
-    return config.coefficient * m**config.exponent
-
-
-def _check_threshold(config: ProcessConfig, m: int) -> None:
-    """Raise ValueError if the threshold at the input's edge count m overflows a float.
-
-    No later step can overflow then: the edge count only falls, so m**exponent
-    is largest at m when exponent >= 0 and at most 1 below it.
-    """
     try:
-        _threshold(config, m)
+        return config.coefficient * m**config.exponent
     except OverflowError:
         raise ValueError(
             f"threshold coefficient * m**exponent is out of float range "
@@ -197,8 +199,8 @@ def _check_threshold(config: ProcessConfig, m: int) -> None:
         ) from None
 
 
-def edge_deletion_process(g: Graph, config: ProcessConfig) -> ProcessTrace:
-    """Repeatedly delete a qualifying minimum-value edge until none is left or the budget runs out.
+def _edge_items(adj: list[int], s: int) -> tuple[Callable, Callable]:
+    """The edge mode's least() -> (value, edge) and delete(e) over the live edges of adj.
 
     Every edge's value (the s-cliques through it) is counted once, up
     front, and kept in a dict beside a lazy min-heap keyed (value, v, u),
@@ -210,21 +212,10 @@ def edge_deletion_process(g: Graph, config: ProcessConfig) -> ProcessTrace:
     value changes.  Each loss is subtracted, not recounted: at s = 3 it
     is 1, at s = 4 a popcount for uw and vw and 1 for wx.  A heap entry is
     pushed only for a nonzero loss; an entry whose value no longer
-    matches the dict is stale and is popped when it reaches the top.  The
-    least live value qualifies iff some edge does, so each step compares
-    it alone with the threshold.
+    matches the dict is stale and is popped when it reaches the top.
     """
-    if config.mode != "edge":
-        raise ValueError("config.mode must be 'edge'")
-    if config.edge_budget > g.edge_count:
-        raise ValueError("edge_budget exceeds the edge count")
-    _check_threshold(config, g.edge_count)
-    n = g.vertex_count
-    adj = list(g.adjacency)
     succ = _label_successors(adj)
-    m_cur = g.edge_count
-    depth = config.s - 2
-    steps: list[ProcessStep] = []
+    depth = s - 2
     value = {(u, v): _count_within(succ, adj[u] & adj[v], depth) for u, v in _colex_edges(adj)}
     heap = [(val, v, u) for (u, v), val in value.items()]
     heapq.heapify(heap)
@@ -235,28 +226,23 @@ def edge_deletion_process(g: Graph, config: ProcessConfig) -> ProcessTrace:
             val = value[e] = value[e] - loss
             heapq.heappush(heap, (val, e[1], e[0]))
 
-    def least_qualifying() -> tuple[tuple[int, int], int] | None:
+    def least() -> tuple[int, tuple[int, int]] | None:
         while heap:
             val, v, u = heap[0]
             if value.get((u, v)) == val:
-                return ((u, v), val) if val < _threshold(config, m_cur) else None
+                return val, (u, v)
             heapq.heappop(heap)
         return None
 
-    while len(steps) < config.edge_budget:
-        pick = least_qualifying()
-        if pick is None:
-            return ProcessTrace(tuple(steps), _trusted_graph(n, tuple(adj)), False, None)
-        (u, v), val = pick
+    def delete(e: tuple[int, int]) -> None:
+        u, v = e
         common = adj[u] & adj[v]
         adj[u] &= ~(1 << v)
         adj[v] &= ~(1 << u)
         succ[u] &= ~(1 << v)
-        del value[(u, v)]
-        m_cur -= 1
-        steps.append(ProcessStep("edge", (u, v), val, m_cur))
+        del value[e]
         if depth == 0:
-            continue  # at s = 2 an edge's only s-clique is itself
+            return  # at s = 2 an edge's only s-clique is itself
         for w in _bits(common):
             # uw and vw lose one s-clique per (s-3)-clique of W & N(w)
             near = common & adj[w]
@@ -267,8 +253,64 @@ def edge_deletion_process(g: Graph, config: ProcessConfig) -> ProcessTrace:
                 # wx inside W loses one per (s-4)-clique of W & N(w) & N(x)
                 for x in _bits(near & succ[w]):
                     lower(w, x, _count_within(succ, near & adj[x], depth - 2) if depth > 2 else 1)
-    exhausted = least_qualifying() is not None
-    return ProcessTrace(tuple(steps), _trusted_graph(n, tuple(adj)), exhausted, None)
+
+    return least, delete
+
+
+def _vertex_items(adj: list[int]) -> tuple[Callable, Callable]:
+    """The vertex mode's least() -> (degree, v) and delete(v) over the live vertices of adj."""
+    live = set(range(1, len(adj)))
+
+    def least() -> tuple[int, int] | None:
+        return min(((adj[v].bit_count(), v) for v in live), default=None)
+
+    def delete(v: int) -> None:
+        for u in _bits(adj[v]):
+            adj[u] &= ~(1 << v)
+        adj[v] = 0
+        live.remove(v)
+
+    return least, delete
+
+
+def _deletion_process(g: Graph, config: ProcessConfig, mode: str) -> ProcessTrace:
+    """The one deletion loop behind both processes (see the module docstring)."""
+    if config.mode != mode:
+        raise ValueError(f"config.mode must be {mode!r}")
+    if config.edge_budget > g.edge_count:
+        raise ValueError("edge_budget exceeds the edge count")
+    m_cur = g.edge_count
+    threshold = _threshold(config, m_cur)  # raises on overflow before any value is counted
+    n = g.vertex_count
+    adj = list(g.adjacency)
+    least, delete = _edge_items(adj, config.s) if mode == "edge" else _vertex_items(adj)
+    left = config.edge_budget
+    steps: list[ProcessStep] = []
+    exhausted, partial = False, None
+    while (pick := least()) is not None and pick[0] < threshold:
+        val, item = pick
+        cost = 1 if mode == "edge" else val
+        if cost > left:  # spare the item
+            exhausted = True
+            if mode == "vertex":  # trimmed of just enough edges (possibly none)
+                near = islice(_bits(adj[item]), left)
+                trimmed = tuple((min(u, item), max(u, item)) for u in near)
+                for u, v in trimmed:
+                    adj[u] &= ~(1 << v)
+                    adj[v] &= ~(1 << u)
+                partial = PartialVertex(item, trimmed)
+            break
+        delete(item)
+        m_cur -= cost
+        left -= cost
+        steps.append(ProcessStep(mode, item, val, m_cur))
+        threshold = _threshold(config, m_cur)
+    return ProcessTrace(tuple(steps), _trusted_graph(n, tuple(adj)), exhausted, partial)
+
+
+def edge_deletion_process(g: Graph, config: ProcessConfig) -> ProcessTrace:
+    """Repeatedly delete a qualifying least-value edge until none is left or the budget runs out."""
+    return _deletion_process(g, config, "edge")
 
 
 def vertex_deletion_process(g: Graph, config: ProcessConfig) -> ProcessTrace:
@@ -278,58 +320,7 @@ def vertex_deletion_process(g: Graph, config: ProcessConfig) -> ProcessTrace:
     limit +inf, so the remaining isolated vertices qualify at zero cost
     (as they do under exponent 0).
     """
-    if config.mode != "vertex":
-        raise ValueError("config.mode must be 'vertex'")
-    if config.edge_budget > g.edge_count:
-        raise ValueError("edge_budget exceeds the edge count")
-    _check_threshold(config, g.edge_count)
-    n = g.vertex_count
-    adj = list(g.adjacency)
-    m_cur = g.edge_count
-    steps: list[ProcessStep] = []
-    removed_mask = 0
-    deleted_edges = 0
-
-    def pick_vertex() -> int | None:
-        threshold = _threshold(config, m_cur)
-        best = None
-        for v in range(1, n + 1):
-            if removed_mask >> v & 1:
-                continue
-            d = adj[v].bit_count()
-            if d < threshold and (best is None or d < best[1]):
-                best = (v, d)
-        return best[0] if best is not None else None
-
-    while True:
-        v = pick_vertex()
-        if v is None:
-            return ProcessTrace(tuple(steps), _trusted_graph(n, tuple(adj)), False, None)
-        d = adj[v].bit_count()
-        if deleted_edges + d > config.edge_budget:
-            # spare the final vertex, trimming just enough of its edges
-            # (possibly none) to land exactly on the budget
-            allowed = config.edge_budget - deleted_edges
-            trimmed = []
-            for u in _bits(adj[v]):
-                if len(trimmed) == allowed:
-                    break
-                adj[u] &= ~(1 << v)
-                adj[v] &= ~(1 << u)
-                trimmed.append((min(u, v), max(u, v)))
-            return ProcessTrace(
-                tuple(steps),
-                _trusted_graph(n, tuple(adj)),
-                True,
-                PartialVertex(v, tuple(trimmed)),
-            )
-        for u in _bits(adj[v]):
-            adj[u] &= ~(1 << v)
-        adj[v] = 0
-        removed_mask |= 1 << v
-        m_cur -= d
-        deleted_edges += d
-        steps.append(ProcessStep("vertex", v, d, m_cur))
+    return _deletion_process(g, config, "vertex")
 
 
 def replay_trace(g: Graph, trace: ProcessTrace) -> Graph:

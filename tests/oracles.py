@@ -5,8 +5,9 @@ enumeration machinery: clique counts run over raw vertex subsets,
 isomorphism is a permutation backtracking search, the graph enumerator
 walks colex-sorted first-use-labeled edge lists (and the mex search
 scans what it lists), the ex search scans every labeled graph, partition
-edits scan every part assignment, and the edge deletion process
-recounts every edge at every step.  Slow on
+edits scan every part assignment, the edge deletion process
+recounts every edge at every step, and the vertex deletion process
+recounts the edges of its neighbour sets at every step.  Slow on
 purpose; used at desk scale only.
 """
 
@@ -18,7 +19,7 @@ from math import comb
 
 from mexkit.colex import colex_unrank, rpartite_valid
 from mexkit.graphs import Graph, graph_from_edges
-from mexkit.processes import ProcessConfig, ProcessStep, ProcessTrace
+from mexkit.processes import PartialVertex, ProcessConfig, ProcessStep, ProcessTrace
 
 
 def naive_count_cliques(g: Graph, t: int) -> int:
@@ -88,6 +89,50 @@ def naive_edge_deletion_process(g: Graph, config: ProcessConfig) -> ProcessTrace
     exhausted = least_qualifying() is not None
     return ProcessTrace(tuple(steps), Graph(n, tuple(adj)), exhausted, None)
 
+
+
+def naive_vertex_deletion_process(g: Graph, config: ProcessConfig) -> ProcessTrace:
+    """The vertex process by its documented rule, on neighbour sets.
+
+    Each step recounts the edges and recomputes the threshold
+    coefficient * (edge count)**exponent (+inf with no edge left under a
+    negative exponent), then takes the least-degree live vertex below it,
+    ties going to the smaller label.  A vertex whose degree the budget
+    left cannot cover is spared: its edges to its lowest neighbours are
+    removed until the budget is spent, and budget_exhausted is set.
+    """
+    n = g.vertex_count
+    nbrs = {v: {u for u in range(1, n + 1) if g.adjacency[v] >> u & 1} for v in range(1, n + 1)}
+    live = set(nbrs)
+    steps = []
+    spent = 0
+
+    def graph():
+        return Graph(n, (0,) + tuple(sum(1 << u for u in nbrs[v]) for v in range(1, n + 1)))
+
+    while True:
+        m = sum(len(near) for near in nbrs.values()) // 2
+        if m == 0 and config.exponent < 0:
+            threshold = float("inf")
+        else:
+            threshold = config.coefficient * m**config.exponent
+        qualifying = [(len(nbrs[v]), v) for v in live if len(nbrs[v]) < threshold]
+        if not qualifying:
+            return ProcessTrace(tuple(steps), graph(), False, None)
+        d, v = min(qualifying)
+        if spent + d > config.edge_budget:
+            trimmed = []
+            for u in sorted(nbrs[v])[: config.edge_budget - spent]:
+                nbrs[u].discard(v)
+                nbrs[v].discard(u)
+                trimmed.append((min(u, v), max(u, v)))
+            return ProcessTrace(tuple(steps), graph(), True, PartialVertex(v, tuple(trimmed)))
+        for u in nbrs[v]:
+            nbrs[u].discard(v)
+        nbrs[v] = set()
+        live.discard(v)
+        spent += d
+        steps.append(ProcessStep("vertex", v, d, m - d))
 
 def naive_degeneracy_successors(g: Graph) -> tuple[int, ...]:
     """Successor masks of the order that keeps removing a least-degree vertex, ties to the smaller label."""

@@ -128,6 +128,8 @@ class TestExitCodes:
             ("mex", "--m", "5", "--m-max", "9", "--s", "3", "--r", "3"),
             ("mex", "--m", "5", "--format", "csv", "--s", "3", "--r", "3"),
             ("mex", "--profile", "--s", "3", "--r", "3"),
+            ("count", "--input", "G", "--t", "3", "--s", "5"),
+            ("count", "--input", "G", "--profile", "--s", "4"),
         ],
     )
     def test_dropped_flag_is_usage_error(self, capsys, tmp_path, argv):
@@ -485,6 +487,25 @@ class TestSearch:
             f"witness_{i}.edges" for i in range(len(want))
         )
         assert [(out_dir / f"witness_{i}.edges").read_text() for i in range(len(want))] == want
+
+    def test_witnesses_dir_drops_an_earlier_runs_witnesses(self, capsys, tmp_path):
+        # the first run dumps 16 witnesses, the second 2; only files named
+        # witness_<digits>.edges are the dump's to remove
+        out_dir, fresh = tmp_path / "witnesses", tmp_path / "fresh"
+        first = ("search", "mex", "--m", "6", "--s", "2", "--forbid-clique", "3")
+        second = ("search", "mex", "--m", "7", "--s", "3", "--forbid-clique", "4")
+        assert run(capsys, *first, "--witnesses-dir", str(out_dir))[0] == 0
+        assert len(list(out_dir.iterdir())) == 16
+        (out_dir / "notes.txt").write_text("kept\n")
+        (out_dir / "witness_best.edges").write_text("1 2\n")
+        assert run(capsys, *second, "--witnesses-dir", str(out_dir))[0] == 0
+        assert sorted(p.name for p in out_dir.iterdir()) == [
+            "notes.txt", "witness_0.edges", "witness_1.edges", "witness_best.edges",
+        ]
+        assert (out_dir / "notes.txt").read_text() == "kept\n"
+        assert run(capsys, *second, "--witnesses-dir", str(fresh))[0] == 0
+        for name in ("witness_0.edges", "witness_1.edges"):
+            assert (out_dir / name).read_text() == (fresh / name).read_text()
 
     def test_mex_disconnected_forbidden_pinned_bytes(self, capsys, tmp_path):
         path = tmp_path / "2k2.edges"

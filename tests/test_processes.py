@@ -27,7 +27,11 @@ from mexkit.processes import (
 )
 
 from corpus import process_corpus
-from oracles import naive_cliques_at_edge, naive_edge_deletion_process
+from oracles import (
+    naive_cliques_at_edge,
+    naive_edge_deletion_process,
+    naive_vertex_deletion_process,
+)
 
 PAW = graph_from_edges([(1, 2), (1, 3), (2, 3), (3, 4)])
 
@@ -377,6 +381,33 @@ class TestVertexProcess:
                 removed += len(trace.partial_last_vertex.removed_edges)
             assert g.edge_count - trace.final_graph.edge_count == removed
 
+
+
+class TestVertexProcessAgainstNaive:
+    """Traces equal those of the neighbour-set oracle, which recomputes the threshold every step."""
+
+    def test_random_graphs(self):
+        rng = random.Random(19)
+        stops = set()
+        for _ in range(500):
+            n = rng.randint(1, 9)
+            density = rng.random()
+            pairs = [(u, v) for v in range(2, n + 1) for u in range(1, v)]
+            g = graph_from_edges([e for e in pairs if rng.random() < density], n)
+            m = g.edge_count
+            for exponent in (0.0, 0.5, -0.5, 1.0):
+                for coefficient in (0.5, 1.5, 3.0, 100.0):
+                    for budget in (0, m // 2, m):
+                        cfg = ProcessConfig("vertex", 3, 3, 0.25, coefficient, exponent, budget)
+                        trace = vertex_deletion_process(g, cfg)
+                        naive = naive_vertex_deletion_process(g, cfg)
+                        assert trace == naive
+                        assert trace.final_graph == naive.final_graph
+                        partial = trace.partial_last_vertex
+                        stops.add((trace.budget_exhausted, partial and len(partial.removed_edges) > 0))
+        # runs ended on the threshold, and on the budget with the spared
+        # vertex trimmed of no edge and of some
+        assert {(False, None), (True, False), (True, True)} <= stops
 
 class TestFinalGraphs:
     """final_graph skips Graph's re-check; it must still pass it and equal the replay."""
