@@ -119,39 +119,54 @@ def _component_vertex_lists(adjacency: Sequence[int]) -> list[list[int]]:
     return comps
 
 
-def _refine(
-    adjacency: Sequence[int], cells: list[list[int]], splitters: list[int]
-) -> list[list[int]]:
+def _refine(adjacency: Sequence[int], cells: list[int], splitters: list[int]) -> list[int]:
     """Coarsest equitable refinement of an ordered partition.
 
-    Splitters are vertex masks, taken first in first out: every cell
-    splits by its vertices' neighbour counts into the splitter, sub-cells
-    in increasing count order, and each sub-cell but the first largest
-    becomes a splitter (stability with respect to the parent and the
-    other sub-cells implies it for that one).  The partition must already
-    be equitable with respect to every cell not covered by the splitters.
-    Splits and their order depend on counts alone, never on labels.
+    Cells and splitters are vertex masks, the splitters taken first in
+    first out: every cell splits by its vertices' neighbour counts into
+    the splitter, sub-cells in increasing count order, and each sub-cell
+    but the first largest becomes a splitter (stability with respect to
+    the parent and the other sub-cells implies it for that one).  Only
+    the cells that meet the splitter's neighbourhood are counted; a
+    one-vertex splitter x splits a cell in one AND with N(x), into
+    (non-neighbours, neighbours), and queues the smaller, the neighbours
+    on a tie.  A mask lists its vertices in ascending order, so every
+    sub-cell does too.  The partition must already be equitable with
+    respect to every cell not covered by the splitters.  Splits and their
+    order depend on counts alone, never on labels.
     """
     queue = deque(splitters)
-    n = sum(map(len, cells))
+    n = sum(cells).bit_count()
     while queue and len(cells) < n:
         w = queue.popleft()
         out = []
-        for cell in cells:
-            if len(cell) > 1:
-                counts = [(adjacency[v] & w).bit_count() for v in cell]
-                if min(counts) != max(counts):
-                    groups: dict[int, list[int]] = {}
-                    for k, v in zip(counts, cell):
-                        groups.setdefault(k, []).append(v)
-                    subs = [groups[k] for k in sorted(groups)]
-                    skip = subs.index(max(subs, key=len))
-                    queue.extend(
-                        sum(1 << v for v in sub) for i, sub in enumerate(subs) if i != skip
-                    )
-                    out.extend(subs)
-                    continue
-            out.append(cell)
+        if w & w - 1 == 0:
+            nb = adjacency[w.bit_length() - 1]
+            for cell in cells:
+                hit = cell & nb
+                if hit and hit != cell:
+                    miss = cell ^ hit
+                    queue.append(hit if hit.bit_count() <= miss.bit_count() else miss)
+                    out += miss, hit
+                else:
+                    out.append(cell)
+        else:
+            nb = 0
+            for x in _bits(w):
+                nb |= adjacency[x]
+            for cell in cells:
+                if cell & nb and cell & cell - 1:
+                    groups: dict[int, int] = {}
+                    for v in _bits(cell):
+                        k = (adjacency[v] & w).bit_count()
+                        groups[k] = groups.get(k, 0) | 1 << v
+                    if len(groups) > 1:
+                        subs = [groups[k] for k in sorted(groups)]
+                        big = max(subs, key=int.bit_count)
+                        queue.extend(sub for sub in subs if sub != big)
+                        out += subs
+                        continue
+                out.append(cell)
         cells = out
     return cells
 
@@ -164,14 +179,17 @@ def _component_bits(
     The search tree starts from the equitable refinement of the unit
     partition.  A node branches on its first smallest non-singleton cell,
     individualizing each of the cell's vertices in turn and refining
-    again; only one vertex per class of twins is tried (u and w with
-    N(u)-{w} = N(w)-{u}: swapping them is an automorphism fixing the
-    node, so their subtrees hold the same leaves).  A leaf orders the
-    vertices; its bitstring has one bit per pair of positions, in colex
-    order ((1,2),(1,3),(2,3),(1,4),...), and the form is the least such
-    bitstring over the leaves in colex order, i.e. the least number with
-    bit i set for the i-th pair (McKay & Piperno, "Practical graph
-    isomorphism II", JSC 2014).
+    again from that one vertex (one AND per cell); only one vertex per
+    class of twins is tried (u and w with N(u)-{w} = N(w)-{u}: swapping
+    them is an automorphism fixing the node, so their subtrees hold the
+    same leaves).  A leaf orders the vertices; its bitstring has one bit
+    per pair of positions, in colex order ((1,2),(1,3),(2,3),(1,4),...),
+    and the form is the least such bitstring over the leaves in colex
+    order, i.e. the least number with bit i set for the i-th pair (McKay &
+    Piperno, "Practical graph isomorphism II", JSC 2014).  The cells are
+    vertex masks, so a cell's vertices are tried in ascending label order
+    whatever the order of verts; that order decides which least leaf
+    comes first and which automorphisms are met, never the bitstring.
 
     The automorphisms the search meets come back as generators on
     canonical positions (p maps position i to p[i]): the transposition of
@@ -193,10 +211,10 @@ def _component_bits(
     # automorphisms met, in vertex labels: sources[i] maps to images[i]
     maps: list[tuple[list[int], list[int]]] = []
 
-    def search(cells: list[list[int]]) -> None:
+    def search(cells: list[int]) -> None:
         nonlocal best, best_order
         if len(cells) == c:
-            order = [v for (v,) in cells]
+            order = [cell.bit_length() - 1 for cell in cells]
             for i, v in enumerate(order):
                 pos[v] = i
             code = 0
@@ -208,11 +226,10 @@ def _component_bits(
             elif code == best:
                 maps.append((best_order, order))
             return
-        k = min(
-            (i for i, cell in enumerate(cells) if len(cell) > 1), key=lambda i: len(cells[i])
-        )
+        k = min((cell.bit_count(), i) for i, cell in enumerate(cells) if cell & cell - 1)[1]
+        cell = cells[k]
         tried: list[int] = []
-        for v in cells[k]:
+        for v in _bits(cell):
             twin = next(
                 (u for u in tried if (adjacency[u] ^ adjacency[v]) & ~(1 << u | 1 << v) == 0),
                 None,
@@ -221,10 +238,11 @@ def _component_bits(
                 maps.append(([twin, v], [v, twin]))
                 continue
             tried.append(v)
-            rest = [w for w in cells[k] if w != v]
-            search(_refine(adjacency, cells[:k] + [[v], rest] + cells[k + 1 :], [1 << v]))
+            split = [*cells[:k], 1 << v, cell ^ 1 << v, *cells[k + 1 :]]
+            search(_refine(adjacency, split, [1 << v]))
 
-    search(_refine(adjacency, [list(verts)], [sum(1 << v for v in verts)]))
+    whole = sum(1 << v for v in verts)
+    search(_refine(adjacency, [whole], [whole]))
     for i, v in enumerate(best_order):
         pos[v] = i
     gens: dict[tuple[int, ...], None] = {}

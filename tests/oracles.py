@@ -4,10 +4,11 @@ Nothing here touches the package's counting, canonicalization, or
 enumeration machinery: clique counts run over raw vertex subsets,
 isomorphism is a permutation backtracking search, the graph enumerator
 walks colex-sorted first-use-labeled edge lists (and the mex search
-scans what it lists), the ex search scans every labeled graph, partition
-edits scan every part assignment, the edge deletion process
-recounts every edge at every step, and the vertex deletion process
-recounts the edges of its neighbour sets at every step.  Slow on
+scans what it lists), equitable refinement recounts neighbours between
+vertex sets until nothing splits, the ex search scans every labeled
+graph, partition edits scan every part assignment, the edge deletion
+process recounts every edge at every step, and the vertex deletion
+process recounts the edges of its neighbour sets at every step.  Slow on
 purpose; used at desk scale only.
 """
 
@@ -205,6 +206,30 @@ def are_isomorphic(g1: Graph, g2: Graph) -> bool:
         return False
 
     return extend(0, 0)
+
+
+def naive_equitable_partition(g: Graph, cells) -> set[frozenset[int]]:
+    """Coarsest equitable refinement of the partition cells of g's vertices, as a set partition.
+
+    A plain fixpoint: while the vertices of some cell differ in their
+    number of neighbours in some cell, split the first by that number.
+    """
+    parts = [frozenset(cell) for cell in cells]
+    while True:
+        for i, cell in enumerate(parts):
+            split = None
+            for other in parts:
+                by_count: dict[int, set[int]] = {}
+                for v in cell:
+                    by_count.setdefault(sum(g.has_edge(v, u) for u in other), set()).add(v)
+                if len(by_count) > 1:
+                    split = [frozenset(sub) for sub in by_count.values()]
+                    break
+            if split:
+                parts[i : i + 1] = split
+                break
+        else:
+            return set(parts)
 
 
 def _pair_colex_key(e: tuple[int, int]) -> tuple[int, int]:

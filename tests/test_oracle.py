@@ -1,3 +1,4 @@
+import hashlib
 import random
 from itertools import combinations, permutations, product
 from math import comb
@@ -33,6 +34,7 @@ from oracles import (
     are_isomorphic,
     naive_brute_force_ex,
     naive_brute_force_mex,
+    naive_equitable_partition,
     naive_min_edits,
     naive_nonisomorphic_graphs,
 )
@@ -332,6 +334,66 @@ class TestAutomorphisms:
         oracle._free_upto(6, complete_graph(3))
         oracle._free_upto(6, complete_graph(4))
         assert len(calls) <= 196
+
+
+def _refined(g, start):
+    """_refine of the ordered partition start (ascending vertex lists), every cell a splitter."""
+    masks = [sum(1 << v for v in cell) for cell in start]
+    return [set(oracle._bits(cell)) for cell in oracle._refine(g.adjacency, masks, masks)]
+
+
+class TestRefine:
+    def test_coarsest_equitable_refinement_in_order(self):
+        # seeded graphs with n <= 10 and random ordered starting partitions
+        rng = random.Random(20)
+        for _ in range(600):
+            n = rng.randint(1, 10)
+            p = rng.random()
+            pairs = [e for e in combinations(range(1, n + 1), 2) if rng.random() < p]
+            g = graph_from_edges(pairs, explicit_vertex_count=n)
+            verts = list(g.vertices())
+            rng.shuffle(verts)
+            cuts = sorted(rng.sample(range(1, n), rng.randint(0, n - 1)))
+            start = [sorted(verts[a:b]) for a, b in zip([0, *cuts], [*cuts, n])]
+            out = _refined(g, start)
+            # it refines start and keeps start's cell order
+            owners = [next(i for i, cell in enumerate(start) if sub <= set(cell)) for sub in out]
+            assert owners == sorted(owners) and set(owners) == set(range(len(start)))
+            # it is equitable
+            for sub in out:
+                for other in out:
+                    assert len({sum(g.has_edge(v, u) for u in other) for v in sub}) == 1
+            # as a set partition, it is the coarsest equitable refinement
+            assert set(map(frozenset, out)) == naive_equitable_partition(g, start), (pairs, start)
+
+
+def _level_digest(build):
+    """sha256 of repr of the levels build() makes cold, with their forms and _AUTOMORPHISMS."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "_LEVELS", {})
+        mp.setattr(oracle, "_AUTOMORPHISMS", {})
+        levels = build()
+        store = ([list(level.items()) for level in levels], sorted(oracle._AUTOMORPHISMS.items()))
+        return hashlib.sha256(repr(store).encode()).hexdigest()
+
+
+class TestLevelDigests:
+    # recorded before the mask-cell refinement kernel: a labeling change that
+    # reorders a form, a level or a generator list changes these
+    def test_connected_levels(self):
+        digest = "3857d1b75e5399d042b0da60ee6c89942d09f9d35570cf8ba58e044c937b21a0"
+        assert _level_digest(lambda: oracle._connected_upto(9)) == digest
+
+    @pytest.mark.parametrize(
+        "k, digest",
+        [
+            (3, "adc57a81286dcd6dd5d6bd7f55f9213a417943ba6f3b01923f607ee7a3872b73"),
+            (4, "a57c41f77d05b5bab8339a9c5cd5de399f52f564805d08a7abca6de9073387fa"),
+            (5, "b9bb8c701dfc13ca8b0191bcc61e5a58d63c7c01d238f9186511073344a384b5"),
+        ],
+    )
+    def test_free_levels(self, k, digest):
+        assert _level_digest(lambda: oracle._free_upto(7, complete_graph(k))) == digest
 
 
 class TestBruteForceMex:
