@@ -426,15 +426,8 @@ def _cmd_process_run(args: argparse.Namespace) -> int:
     }[args.procedure]
     g = _load_graph(args.input)
     config = default_config(g, args.s, args.r, args.epsilon)
-    overrides = {}
-    if args.coefficient is not None:
-        overrides["coefficient"] = args.coefficient
-    if args.exponent is not None:
-        overrides["exponent"] = args.exponent
-    if args.budget is not None:
-        overrides["edge_budget"] = args.budget
-    if overrides:
-        config = dataclasses.replace(config, **overrides)
+    flags = {"coefficient": args.coefficient, "exponent": args.exponent, "edge_budget": args.budget}
+    config = dataclasses.replace(config, **{k: v for k, v in flags.items() if v is not None})
     _trace_to_lines(run(g, config))
     return EXIT_OK
 

@@ -144,9 +144,9 @@ def _trusted_graph(n: int, adjacency: tuple[int, ...]) -> Graph:
     """A Graph on adjacency that is padded, in range and symmetric by construction, unchecked.
 
     For builders that set or clear every edge's two bits together: the
-    oracle's canonical representatives, the Turan and colex constructions
-    and the final graphs of the deletion processes.  Input goes through
-    Graph(...).
+    oracle's canonical representatives and F-free level children, the
+    Turan and colex constructions and the final graphs of the deletion
+    processes.  Input goes through Graph(...).
     """
     g = object.__new__(Graph)
     object.__setattr__(g, "vertex_count", n)
@@ -307,54 +307,42 @@ def contains_subgraph(g: Graph, f: Graph) -> bool:
     """True iff g contains a (not necessarily induced) copy of f.
 
     Isolated vertices of f only require g to have at least as many
-    vertices in total; the non-isolated part is embedded by backtracking.
+    vertices in total; the rest of f is embedded by backtracking, one
+    pattern vertex per step.  The order is greedy: next comes the unplaced
+    non-isolated vertex with the most placed neighbours, then the one of
+    highest degree, then the least label.  A step's candidates are the
+    free host vertices adjacent to the images of its placed neighbours
+    and of at least its degree.
     """
     if f.vertex_count > g.vertex_count:
         return False
-    pattern = [v for v in f.vertices() if f.adjacency[v]]
-    if not pattern:
-        return True
-
-    # Order pattern vertices so each (after the first of its component)
-    # has an already-placed neighbor, which keeps candidate sets tight.
-    order: list[int] = []
-    placed = set()
-    while len(order) < len(pattern):
-        seed = max(
-            (v for v in pattern if v not in placed), key=lambda v: f.degree(v)
+    left = sum(1 << v for v in f.vertices() if f.adjacency[v])
+    steps: list[tuple[int, int, int]] = []  # (vertex, placed-neighbour mask, degree)
+    while left:
+        # every neighbour is non-isolated, so placed unless still left
+        v = max(
+            _bits(left),
+            key=lambda u: ((f.adjacency[u] & ~left).bit_count(), f.adjacency[u].bit_count()),
         )
-        queue = [seed]
-        placed.add(seed)
-        while queue:
-            v = queue.pop(0)
-            order.append(v)
-            for u in sorted(_bits(f.adjacency[v]), key=lambda u: -f.degree(u)):
-                if u not in placed:
-                    placed.add(u)
-                    queue.append(u)
+        steps.append((v, f.adjacency[v] & ~left, f.adjacency[v].bit_count()))
+        left ^= 1 << v
+    images = [0] * (f.vertex_count + 1)
 
-    fdeg = {v: f.degree(v) for v in pattern}
-    all_mask = _vertex_mask(g.vertex_count)
-    images: dict[int, int] = {}
-
-    def extend(i: int, used: int) -> bool:
-        if i == len(order):
+    def extend(i: int, free: int) -> bool:
+        if i == len(steps):
             return True
-        fv = order[i]
-        cand = all_mask & ~used
-        for fu in _bits(f.adjacency[fv]):
-            if fu in images:
-                cand &= g.adjacency[images[fu]]
-        for gv in _bits(cand):
-            if g.adjacency[gv].bit_count() < fdeg[fv]:
-                continue
-            images[fv] = gv
-            if extend(i + 1, used | (1 << gv)):
-                return True
-            del images[fv]
+        v, back, deg = steps[i]
+        cand = free
+        for u in _bits(back):
+            cand &= g.adjacency[images[u]]
+        for x in _bits(cand):
+            if g.adjacency[x].bit_count() >= deg:
+                images[v] = x
+                if extend(i + 1, free ^ 1 << x):
+                    return True
         return False
 
-    return extend(0, 0)
+    return extend(0, _vertex_mask(g.vertex_count))
 
 
 def non_isolated_subgraph(g: Graph) -> Graph:

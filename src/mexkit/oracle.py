@@ -99,8 +99,8 @@ class SearchResult:
 # ---------------------------------------------------------------------------
 
 
-def _component_vertex_lists(adjacency: Sequence[int]) -> list[list[int]]:
-    """Connected components (isolated vertices as singletons), by smallest label."""
+def _components(adjacency: Sequence[int]) -> list[int]:
+    """Connected components as vertex masks (isolated vertices as singletons), by least label."""
     seen = 0
     comps = []
     for v in range(1, len(adjacency)):
@@ -114,7 +114,7 @@ def _component_vertex_lists(adjacency: Sequence[int]) -> list[list[int]]:
             for u in _bits(frontier):
                 nxt |= adjacency[u]
             frontier = nxt & ~comp
-        comps.append(list(_bits(comp)))
+        comps.append(comp)
         seen |= comp
     return comps
 
@@ -172,12 +172,13 @@ def _refine(adjacency: Sequence[int], cells: list[int], splitters: list[int]) ->
 
 
 def _component_bits(
-    adjacency: Sequence[int], verts: list[int]
+    adjacency: Sequence[int], comp: int
 ) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
     """Canonical adjacency bitstring of one component, and generators of its automorphisms.
 
-    The search tree starts from the equitable refinement of the unit
-    partition.  A node branches on its first smallest non-singleton cell,
+    comp is the component's vertex mask, as _components gives it.  The
+    search tree starts from the equitable refinement of the unit partition
+    [comp].  A node branches on its first smallest non-singleton cell,
     individualizing each of the cell's vertices in turn and refining
     again from that one vertex (one AND per cell); only one vertex per
     class of twins is tried (u and w with N(u)-{w} = N(w)-{u}: swapping
@@ -187,9 +188,9 @@ def _component_bits(
     and the form is the least such bitstring over the leaves in colex
     order, i.e. the least number with bit i set for the i-th pair (McKay &
     Piperno, "Practical graph isomorphism II", JSC 2014).  The cells are
-    vertex masks, so a cell's vertices are tried in ascending label order
-    whatever the order of verts; that order decides which least leaf
-    comes first and which automorphisms are met, never the bitstring.
+    vertex masks, so a cell's vertices are tried in ascending label order;
+    that order decides which least leaf comes first and which
+    automorphisms are met, never the bitstring.
 
     The automorphisms the search meets come back as generators on
     canonical positions (p maps position i to p[i]): the transposition of
@@ -201,10 +202,10 @@ def _component_bits(
     the full tree, and swapping skipped twins, which fixes the node they
     were skipped at, carries that leaf to one the search visited.
     """
-    c = len(verts)
+    c = comp.bit_count()
     if c == 1:
         return (), ()
-    edges = [(u, v) for v in verts for u in _bits(adjacency[v] & (1 << v) - 1)]
+    edges = [(u, v) for v in _bits(comp) for u in _bits(adjacency[v] & (1 << v) - 1)]
     pos = [0] * len(adjacency)
     best = -1
     best_order: list[int] = []
@@ -241,8 +242,7 @@ def _component_bits(
             split = [*cells[:k], 1 << v, cell ^ 1 << v, *cells[k + 1 :]]
             search(_refine(adjacency, split, [1 << v]))
 
-    whole = sum(1 << v for v in verts)
-    search(_refine(adjacency, [whole], [whole]))
+    search(_refine(adjacency, [comp], [comp]))
     for i, v in enumerate(best_order):
         pos[v] = i
     gens: dict[tuple[int, ...], None] = {}
@@ -257,13 +257,13 @@ def _component_bits(
 def canonical_form(g: Graph) -> tuple:
     """Isomorphism-invariant key: vertex count plus sorted component items.
 
-    Each component contributes (size, bits) with bits from
-    _component_bits; two graphs get equal keys exactly when they are
+    Each component mask of _components contributes (size, bits) with bits
+    from _component_bits; two graphs get equal keys exactly when they are
     isomorphic, and _graph_from_items rebuilds the representative.
     """
     items = sorted(
-        (len(vs), _component_bits(g.adjacency, vs)[0])
-        for vs in _component_vertex_lists(g.adjacency)
+        (comp.bit_count(), _component_bits(g.adjacency, comp)[0])
+        for comp in _components(g.adjacency)
     )
     return (g.vertex_count, tuple(items))
 
@@ -309,10 +309,10 @@ _LEVELS: dict[tuple, list[dict[tuple, Graph]]] = {}
 _AUTOMORPHISMS: dict[tuple, tuple[tuple[int, ...], ...]] = {}
 
 
-def _labeled_item(adjacency: Sequence[int], verts: list[int]) -> tuple[int, tuple[int, ...]]:
-    """The (size, bits) item of one component, its automorphisms kept in _AUTOMORPHISMS."""
-    bits, gens = _component_bits(adjacency, verts)
-    item = (len(verts), bits)
+def _labeled_item(adjacency: Sequence[int], comp: int) -> tuple[int, tuple[int, ...]]:
+    """The (size, bits) item of the component comp, its automorphisms kept in _AUTOMORPHISMS."""
+    bits, gens = _component_bits(adjacency, comp)
+    item = (comp.bit_count(), bits)
     _AUTOMORPHISMS[item] = gens
     return item
 
@@ -425,7 +425,7 @@ def _connected_upto(m: int) -> list[dict[tuple, Graph]]:
             adj[v] ^= 1 << u
             if _least_deletable(adj, u, v):
                 k = max(n, v)
-                yield (k, (_labeled_item(adj, list(range(1, k + 1))),))
+                yield (k, (_labeled_item(adj, _vertex_mask(k)),))
             adj[u] ^= 1 << v
             adj[v] ^= 1 << u
 
@@ -591,7 +591,7 @@ def brute_force_mex(
     """
     if s < 1:
         raise ValueError("s must be at least 1")
-    if len(_component_vertex_lists(forbidden.adjacency)) > 1:
+    if len(_components(forbidden.adjacency)) > 1:
         return _mex_by_enumeration(m, s, forbidden, cap)
     if m < 1:
         raise ValueError("m must be at least 1")
@@ -690,7 +690,7 @@ def _free_upto(n: int, forbidden: Graph) -> list[dict[tuple, Graph]]:
             if forb_k is not None and _has_within(succ, nbrs, forb_k - 1):
                 continue
             adj = (*(a | (nbrs >> v & 1) << k for v, a in enumerate(h.adjacency)), nbrs)
-            if forb_k is None and contains_subgraph(Graph(k, adj), forbidden):
+            if forb_k is None and contains_subgraph(_trusted_graph(k, adj), forbidden):
                 continue
             comp = 1 << k
             kept = []
@@ -699,7 +699,7 @@ def _free_upto(n: int, forbidden: Graph) -> list[dict[tuple, Graph]]:
                     comp |= mask
                 else:
                     kept.append(item)
-            kept.append(_labeled_item(adj, list(_bits(comp))) if nbrs else (1, ()))
+            kept.append(_labeled_item(adj, comp) if nbrs else (1, ()))
             yield (k, tuple(sorted(kept)))
 
     key = ("vertex", canonical_form(forbidden))
@@ -825,17 +825,16 @@ def min_edits_to_r_partite(
     """
     if r < 1:
         raise ValueError("r must be at least 1")
-    comps = _component_vertex_lists(g.adjacency)
-    _require_cap(
-        max(map(len, comps), default=0), cap, "component vertex count for exact partition mode"
-    )
-    return sum(_component_min_edits(g, verts, r) for verts in comps if len(verts) > 1)
+    comps = _components(g.adjacency)
+    largest = max((comp.bit_count() for comp in comps), default=0)
+    _require_cap(largest, cap, "component vertex count for exact partition mode")
+    return sum(_component_min_edits(g, comp, r) for comp in comps if comp & comp - 1)
 
 
-def _component_min_edits(g: Graph, verts: list[int], r: int) -> int:
+def _component_min_edits(g: Graph, comp: int, r: int) -> int:
     # BFS order from a maximum-degree vertex keeps each prefix connected,
     # so bad assignments accumulate cost early and prune well.
-    root = max(verts, key=lambda v: g.adjacency[v].bit_count())
+    root = max(_bits(comp), key=lambda v: g.adjacency[v].bit_count())
     order = [root]
     seen = 1 << root
     head = 0

@@ -1,3 +1,6 @@
+import random
+from itertools import combinations
+
 import pytest
 
 from mexkit.constructions import colex_turan_graph, complete_graph, turan_graph
@@ -20,6 +23,7 @@ from corpus import named_small_graphs, small_corpus
 from oracles import (
     naive_cliques_at_edge,
     naive_cliques_at_vertex,
+    naive_contains,
     naive_count_cliques,
     naive_degeneracy_successors,
 )
@@ -137,6 +141,27 @@ class TestCliqueProfile:
         assert profile.omega == 4 and profile.counts == (4, 6, 4, 1)
 
 
+def _random_graph(rng, n):
+    """n vertices at a random density; half the time no edge joins 1..c to c+1..n, c random."""
+    p, cut = rng.random(), rng.randint(0, n) if rng.random() < 0.5 else 0
+    pairs = combinations(range(1, n + 1), 2)
+    return graph_from_edges([(u, v) for u, v in pairs if not u <= cut < v and rng.random() < p], n)
+
+
+def _edge_component_count(g):
+    """Number of components of g that have an edge."""
+    root = list(range(g.vertex_count + 1))
+
+    def find(v):
+        while root[v] != v:
+            v = root[v]
+        return v
+
+    for u, v in g.edges():
+        root[find(u)] = find(v)
+    return len({find(v) for v in g.vertices() if g.adjacency[v]})
+
+
 class TestContainsSubgraph:
     def test_examples(self):
         assert contains_subgraph(complete_graph(4), TRIANGLE)
@@ -153,6 +178,23 @@ class TestContainsSubgraph:
     def test_non_induced(self):
         # a triangle sits inside K_4 even though K_4 has extra edges
         assert contains_subgraph(complete_graph(4), PAW)
+
+    def test_matches_naive_embedding(self):
+        # seeded hosts on 0-7 vertices and patterns on 0-5, each of a random
+        # density and half of them cut in two, so patterns with isolated
+        # vertices, with two or more components with an edge, and with more
+        # vertices than the host all occur
+        rng = random.Random(21)
+        seen = dict.fromkeys(["isolated", "disconnected", "larger", "contained", "free"], 0)
+        for _ in range(3000):
+            g, f = _random_graph(rng, rng.randint(0, 7)), _random_graph(rng, rng.randint(0, 5))
+            want = naive_contains(g, f)
+            assert contains_subgraph(g, f) == want, (g, f)
+            seen["isolated"] += 0 in f.adjacency[1:]
+            seen["disconnected"] += _edge_component_count(f) > 1
+            seen["larger"] += f.vertex_count > g.vertex_count
+            seen["contained" if want else "free"] += 1
+        assert min(seen.values()) >= 50, seen
 
 
 class TestInvariants:

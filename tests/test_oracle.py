@@ -238,9 +238,9 @@ def _vertex_and_pair_orbits(n, maps):
 def _labeled_generators(g):
     """_class_generators of g's class, from labeling each component of g itself."""
     found = {}
-    for verts in oracle._component_vertex_lists(g.adjacency):
-        bits, gens = oracle._component_bits(g.adjacency, verts)
-        found[(len(verts), bits)] = gens
+    for comp in oracle._components(g.adjacency):
+        bits, gens = oracle._component_bits(g.adjacency, comp)
+        found[(comp.bit_count(), bits)] = gens
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(oracle, "_AUTOMORPHISMS", found)
         return oracle._class_generators(canonical_form(g)[1])
@@ -321,9 +321,9 @@ class TestAutomorphisms:
         calls = []
         label = oracle._component_bits
 
-        def counted(adjacency, verts):
-            calls.append(len(verts))
-            return label(adjacency, verts)
+        def counted(adjacency, comp):
+            calls.append(comp)
+            return label(adjacency, comp)
 
         monkeypatch.setattr(oracle, "_component_bits", counted)
         monkeypatch.setattr(oracle, "_AUTOMORPHISMS", {})
@@ -523,6 +523,12 @@ class TestBruteForceEx:
         for n, want in enumerate(k4_free, start=1):
             assert brute_force_ex(n, 2, complete_graph(4)).search_space_size == want
         assert brute_force_ex(8, 2, complete_graph(9)).search_space_size == 12346
+
+    def test_c4_free_edge_counts_match_the_literature(self):
+        # ex(n; C_4) for n = 1..8: Clapham, Flockhart & Sheehan, "Graphs
+        # without four-cycles", J. Graph Theory 13 (1989)
+        for n, want in enumerate([0, 1, 3, 4, 6, 7, 9, 11], start=1):
+            assert brute_force_ex(n, 2, C4).optimum == want
 
     def test_nothing_is_free_of_k1_or_the_empty_graph(self):
         for forbidden in (complete_graph(1), Graph(0, (0,))):
