@@ -211,6 +211,8 @@ def _report(
 def _cmd_verify_frohmader(args: argparse.Namespace) -> int:
     cap = _cap(oracle.DEFAULT_EDGE_CAP)
     oracle._require_cap(args.m_max, cap, "edge count")  # before printing any line
+    if args.m_max >= 1:  # the closed form's own domain check, before any search
+        extremal.mex_clique(1, args.s, args.r)
     forbidden = constructions.complete_graph(args.r + 1)
 
     def rows() -> Iterator[tuple[bool, str]]:
@@ -225,10 +227,13 @@ def _cmd_verify_frohmader(args: argparse.Namespace) -> int:
 def _cmd_verify_zykov(args: argparse.Namespace) -> int:
     cap = _cap(oracle.DEFAULT_VERTEX_CAP)
     oracle._require_cap(args.n_max, cap, "vertex count")  # before printing any line
+    ns = range(max(args.r, args.t), args.n_max + 1)
+    if ns:  # the closed form's own domain check, before any search
+        extremal.zykov_ex(ns[0], args.t, args.r)
     forbidden = constructions.complete_graph(args.r + 1)
 
     def rows() -> Iterator[tuple[bool, str]]:
-        for n in range(max(args.r, args.t), args.n_max + 1):
+        for n in ns:
             res = oracle.brute_force_ex(n, args.t, forbidden, cap=cap)
             closed = extremal.zykov_ex(n, args.t, args.r)
             unique = res.witness_count == 1 and res.witnesses[0] == oracle.canonical_graph(

@@ -232,10 +232,6 @@ def count_cliques(g: Graph, t: int) -> int:
     """Exact number of t-vertex cliques in g, counted as vertex subsets."""
     if t < 1:
         raise ValueError("clique order must be at least 1")
-    if t == 1:
-        return g.vertex_count
-    if t == 2:
-        return g.edge_count
     return _count_within(g._successors, _vertex_mask(g.vertex_count), t)
 
 
@@ -296,10 +292,6 @@ def contains_clique(g: Graph, k: int) -> bool:
     """True iff g has a k-clique; early-exits as soon as one is found."""
     if k < 1:
         raise ValueError("clique order must be at least 1")
-    if k == 1:
-        return g.vertex_count >= 1
-    if k == 2:
-        return any(m for m in g.adjacency)
     return _has_within(g._successors, _vertex_mask(g.vertex_count), k)
 
 

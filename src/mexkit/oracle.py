@@ -1,10 +1,13 @@
 """Exhaustive brute-force search engines for desk-scale verification.
 
-Everything here is exact and deterministic.  _levels builds the graph
-classes level by level into one store keyed by (move, forbidden form): a
-class tries one move per orbit of the automorphisms its own labeling
-met, keeps a child only when a fixed deletion rule would undo the move,
-and the level keeps one canonical representative per form; _knapsack
+Everything here is exact and deterministic.  One augmentation loop,
+_levels, builds the graph classes level by level into one store keyed by
+(move, forbidden form): a class tries one move per orbit of the
+automorphisms its own labeling met, keeps a child only when the
+builder's deletion rule would undo the move, relabels only the component
+the move touched, and the level keeps one canonical representative per
+form.  Each builder, _connected_upto by edges and _free_upto by
+vertices, gives only its moves, as vertex masks, and its rule.  _knapsack
 walks the multisets of connected classes that make up the graphs with m
 edges.  Safety caps guard every search whose space is super-exponential;
 they raise CapExceededError, and cap=None (CLI: MEXKIT_CAP_OVERRIDE=1)
@@ -309,20 +312,13 @@ _LEVELS: dict[tuple, list[dict[tuple, Graph]]] = {}
 _AUTOMORPHISMS: dict[tuple, tuple[tuple[int, ...], ...]] = {}
 
 
-def _labeled_item(adjacency: Sequence[int], comp: int) -> tuple[int, tuple[int, ...]]:
-    """The (size, bits) item of the component comp, its automorphisms kept in _AUTOMORPHISMS."""
-    bits, gens = _component_bits(adjacency, comp)
-    item = (comp.bit_count(), bits)
-    _AUTOMORPHISMS[item] = gens
-    return item
-
-
 def _class_generators(items: tuple[tuple[int, tuple[int, ...]], ...]) -> list[list[int]]:
-    """Automorphism generators of _graph_from_items(n, items), as padded vertex maps.
+    """Automorphism generators of _graph_from_items(n, items), as vertex maps on 0..n+1.
 
     Each component's generators act on its block of labels, and each
     block swaps with the next when their items are equal (the items are
-    sorted, so equal components sit side by side).
+    sorted, so equal components sit side by side).  Every map fixes the
+    padding 0 and the fresh vertex n+1.
     """
     n = sum(size for size, _ in items)
     gens = []
@@ -330,11 +326,11 @@ def _class_generators(items: tuple[tuple[int, tuple[int, ...]], ...]) -> list[li
     for b, item in enumerate(items):
         size = item[0]
         for p in _AUTOMORPHISMS.get(item, ()):
-            perm = list(range(n + 1))
+            perm = list(range(n + 2))
             perm[base + 1 : base + size + 1] = [base + i + 1 for i in p]
             gens.append(perm)
         if b and items[b - 1] == item:
-            perm = list(range(n + 1))
+            perm = list(range(n + 2))
             for v in range(base + 1, base + size + 1):
                 perm[v], perm[v - size] = v - size, v
             gens.append(perm)
@@ -342,14 +338,11 @@ def _class_generators(items: tuple[tuple[int, tuple[int, ...]], ...]) -> list[li
     return gens
 
 
-def _orbit_leaders(points: Iterable, gens: list[list[int]], image: Callable) -> list:
-    """The first point of each orbit of the generated group, in the given order.
-
-    image(p, x) is the image of point x under the vertex map p.
-    """
+def _orbit_leaders(masks: Iterable[int], gens: list[list[int]]) -> list[int]:
+    """The first vertex mask of each orbit of the generated group, in the given order."""
     seen = set()
     leaders = []
-    for x in points:
+    for x in masks:
         if x in seen:
             continue
         leaders.append(x)
@@ -358,43 +351,71 @@ def _orbit_leaders(points: Iterable, gens: list[list[int]], image: Callable) -> 
         while stack:
             y = stack.pop()
             for p in gens:
-                z = image(p, y)
+                z = 0
+                rest = y
+                while rest:
+                    low = rest & -rest
+                    z |= 1 << p[low.bit_length() - 1]
+                    rest ^= low
                 if z not in seen:
                     seen.add(z)
                     stack.append(z)
     return leaders
 
 
-def _pair_image(p: list[int], pair: tuple[int, int]) -> tuple[int, int]:
-    u, v = p[pair[0]], p[pair[1]]
-    return (u, v) if u < v else (v, u)
-
-
-def _mask_image(p: list[int], mask: int) -> int:
-    return sum(1 << p[v] for v in _bits(mask))
-
-
 def _levels(
     key: tuple,
     seed: dict[tuple, Graph],
     upto: int,
-    children: Callable[[tuple, Graph], Iterable[tuple]],
+    expand: Callable[[Graph], tuple[list[int], Callable[[int], Sequence[int] | None]]],
 ) -> list[dict[tuple, Graph]]:
     """Levels 0..upto under key in _LEVELS, level 0 being seed, extended in place.
 
-    children(form, h) yields the canonical form of each child of the
-    class h that its level builder keeps, one per orbit of h's
-    automorphisms; isomorphic children of different parents still meet,
-    so the next level maps each form to its representative, in form
-    order.
+    The one canonical augmentation loop (McKay, "Isomorph-free exhaustive
+    generation", J. Algorithms 26, 1998).  expand(h) gives the moves of
+    the class h on n vertices, vertex masks over 1..n+1 in a fixed order,
+    and child(move): the child's adjacency on n or, with the fresh vertex,
+    n+1 vertices, or None when the builder's deletion rule would not undo
+    the move.  Moves in one orbit of h's automorphisms give isomorphic
+    children, so h tries only the first of each, under _class_generators,
+    which fix n+1.  A kept child relabels one component, the fresh vertex
+    merged with the blocks of h the move meets, and keeps h's other items;
+    its generators go to _AUTOMORPHISMS (a lone vertex is not labeled).
+    Isomorphic children of different parents still meet, so the next
+    level maps each form to its representative, in form order.
     """
     levels = _LEVELS.setdefault(key, [seed])
     while len(levels) <= upto:
         grown: dict[tuple, Graph] = {}
-        for form, h in levels[-1].items():
-            for child in children(form, h):
-                if child not in grown:
-                    grown[child] = _graph_from_items(*child)
+        for (n, items), h in levels[-1].items():
+            moves, child = expand(h)
+            blocks = []  # (mask of a component's block of labels, its item)
+            base = 1
+            for item in items:
+                blocks.append(((1 << item[0]) - 1 << base, item))
+                base += item[0]
+            for move in _orbit_leaders(moves, _class_generators(items)):
+                adj = child(move)
+                if adj is None:
+                    continue
+                k = len(adj) - 1
+                comp = 1 << k if k > n else 0  # the fresh vertex, if the child has it
+                kept = []
+                for mask, item in blocks:
+                    if mask & move:
+                        comp |= mask
+                    else:
+                        kept.append(item)
+                if comp & comp - 1:
+                    bits, gens = _component_bits(adj, comp)
+                    item = (comp.bit_count(), bits)
+                    _AUTOMORPHISMS[item] = gens
+                else:
+                    item = (1, ())
+                kept.append(item)
+                form = (k, tuple(sorted(kept)))
+                if form not in grown:
+                    grown[form] = _graph_from_items(*form)
         levels.append(dict(sorted(grown.items())))
     return levels
 
@@ -402,34 +423,35 @@ def _levels(
 def _connected_upto(m: int) -> list[dict[tuple, Graph]]:
     """Connected graphs with up to m edges, one canonical representative each.
 
-    Level j is grown from level j-1 by adding an edge uv, u < v, between
-    two vertices of the parent padded with a fresh vertex n+1 (a pendant
-    edge when v = n+1), one per orbit of the parent's automorphisms,
-    which fix n+1, on those pairs; a child is kept only when the added
-    edge is a deletable edge of least key (_least_deletable).  This is
-    exact: every connected graph with at least 1 edge has a deletable
-    edge of least key, and deleting it (with its leaf, if pendant) leaves
-    a connected class of level j-1, to which adding the edge back is one
-    of the moves; an automorphism of the parent carries the move, and the
-    rule, to its orbit leader.  A kept child is connected, so it is
-    labeled whole.
+    Level j grows from level j-1 through _levels.  The moves of a parent
+    on n vertices are its non-edges uv, u < v <= n+1, as masks 1<<u | 1<<v
+    in colex order; v = n+1 adds a pendant edge to the fresh vertex.  The
+    rule keeps the child when uv is a deletable edge of least key
+    (_least_deletable).  This is exact: every connected graph with at
+    least 1 edge has a deletable edge of least key, and deleting it (with
+    its leaf, if pendant) leaves a connected class of level j-1, to which
+    adding the edge back is one of the moves.
     """
 
-    def children(form: tuple, h: Graph) -> Iterator[tuple]:
-        n, items = form
-        gens = [[*p, n + 1] for p in _class_generators(items)]
-        adj = [*h.adjacency, 0]
-        moves = [(u, v) for v in range(2, n + 2) for u in range(1, v) if not adj[u] >> v & 1]
-        for u, v in _orbit_leaders(moves, gens, _pair_image):
-            adj[u] ^= 1 << v
-            adj[v] ^= 1 << u
-            if _least_deletable(adj, u, v):
-                k = max(n, v)
-                yield (k, (_labeled_item(adj, _vertex_mask(k)),))
-            adj[u] ^= 1 << v
-            adj[v] ^= 1 << u
+    def expand(h: Graph) -> tuple[list[int], Callable[[int], list[int] | None]]:
+        n = h.vertex_count
+        moves = [
+            1 << u | 1 << v
+            for v in range(2, n + 2)
+            for u in range(1, v)
+            if not h.adjacency[u] >> v & 1
+        ]
 
-    return _levels(("edge", None), {(1, ((1, ()),)): Graph(1, (0, 0))}, m, children)
+        def child(move: int) -> list[int] | None:
+            u, v = (move & -move).bit_length() - 1, move.bit_length() - 1
+            adj = [*h.adjacency, 0] if v > n else list(h.adjacency)
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+            return adj if _least_deletable(adj, u, v) else None
+
+        return moves, child
+
+    return _levels(("edge", None), {(1, ((1, ()),)): Graph(1, (0, 0))}, m, expand)
 
 
 def _least_deletable(adj: Sequence[int], u: int, v: int) -> bool:
@@ -541,12 +563,6 @@ def _clique_order(f: Graph) -> int | None:
     return k if k and f.edge_count == comb(k, 2) else None
 
 
-def _is_free(g: Graph, forbidden: Graph, forb_k: int | None) -> bool:
-    if forb_k is not None:
-        return not contains_clique(g, forb_k)
-    return not contains_subgraph(g, forbidden)
-
-
 def _search_result(
     candidates: list[Graph], s: int, space: int, start: float
 ) -> SearchResult:
@@ -598,9 +614,12 @@ def brute_force_mex(
     _require_cap(m, cap, "edge count")
     start = time.perf_counter()
     forb_k = _clique_order(forbidden)
-    best, total, keys = _knapsack(
-        m, lambda g: count_cliques(g, s) if _is_free(g, forbidden, forb_k) else None
-    )
+
+    def score(g: Graph) -> int | None:
+        found = contains_subgraph(g, forbidden) if forb_k is None else contains_clique(g, forb_k)
+        return None if found else count_cliques(g, s)
+
+    best, total, keys = _knapsack(m, score)
     return SearchResult(
         optimum=max(best, 0),
         witnesses=tuple(
@@ -618,8 +637,7 @@ def _mex_by_enumeration(m: int, s: int, forbidden: Graph, cap: int | None) -> Se
     # enumerate_graphs yields canonical representatives in canonical-form
     # order, so the attainers come out in that order without relabeling
     graphs = list(enumerate_graphs(m, cap=cap))
-    forb_k = _clique_order(forbidden)
-    free = [g for g in graphs if _is_free(g, forbidden, forb_k)]
+    free = [g for g in graphs if not contains_subgraph(g, forbidden)]
     return _search_result(free, s, len(graphs), start)
 
 
@@ -632,20 +650,11 @@ def brute_force_ex(
 ) -> SearchResult:
     """Exact maximum of the t-clique count over forbidden-free graphs on n vertices.
 
-    Runs over the free graphs on n vertices, one canonical representative
-    per isomorphism class, built level by level from the graph with no
-    vertices.  Level k gives each class h of level k-1 a vertex k whose
-    neighbourhood N in 1..k-1 leaves k of least degree: with δ the least
-    degree of h, |N| <= δ+1, and N holds every vertex of degree δ when
-    |N| = δ+1, one N per orbit of h's automorphisms.  The free children
-    are filed under their canonical form.  This is exact for every
-    forbidden graph: deleting a least-degree vertex of a free graph
-    leaves a free class of level k-1 (freeness survives vertex
-    deletion), adding that vertex back is one of the children, and an
-    automorphism of h carries it to its orbit's leader.  The levels stay
-    in the _LEVELS store under ("vertex", canonical form of the forbidden
-    graph), so a call only extends them up to n.  search_space_size
-    counts the free classes on n vertices.
+    Runs over the free classes on n vertices, level n of _free_upto, one
+    canonical representative each, in canonical-form order.  The levels
+    stay in the _LEVELS store under ("vertex", canonical form of the
+    forbidden graph), so a call only extends them up to n.
+    search_space_size counts the free classes on n vertices.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -658,52 +667,45 @@ def brute_force_ex(
 
 
 def _free_upto(n: int, forbidden: Graph) -> list[dict[tuple, Graph]]:
-    """The free levels 0..n of brute_force_ex, extended in place in _LEVELS.
+    """The forbidden-free graphs on 0..n vertices, one canonical representative each.
 
-    A parent tries one neighbourhood per orbit of its automorphisms among
-    those the degree rule allows, and a free child relabels only the
-    component holding the new vertex: the parent's components it does
-    not touch keep their items.  The 0-vertex seed is not tested for
+    Level k grows from level k-1 through _levels.  The moves of a parent
+    h are the neighbourhoods N in 1..k-1 of the fresh vertex k that leave
+    k of least degree: with δ the least degree of h, |N| <= δ+1, and N
+    holds every vertex of degree δ when |N| = δ+1.  The rule keeps the
+    child when it is free.  This is exact for every forbidden graph:
+    deleting a least-degree vertex of a free graph leaves a free class of
+    level k-1 (freeness survives vertex deletion), to which adding that
+    vertex back is one of the moves.  The 0-vertex seed is not tested for
     freeness; brute_force_ex reads only the levels n >= 1.
     """
     forb_k = _clique_order(forbidden)
 
-    def children(form: tuple, h: Graph) -> Iterator[tuple]:
+    def expand(h: Graph) -> tuple[list[int], Callable[[int], tuple[int, ...] | None]]:
         k = h.vertex_count + 1
-        items = form[1]
         deg = [a.bit_count() for a in h.adjacency]
         low = min(deg[1:], default=0)
         lows = sum(1 << v for v in h.vertices() if deg[v] == low)
         succ = _label_successors(h.adjacency)
-        blocks = []  # (item, mask of its block of labels)
-        base = 0
-        for item in items:
-            blocks.append((item, (1 << item[0]) - 1 << base + 1))
-            base += item[0]
-        allowed = [
+        moves = [
             nbrs
             for nbrs in range(0, 1 << k, 2)  # every subset of 1..k-1
             if (d := nbrs.bit_count()) <= low or d == low + 1 and nbrs & lows == lows
         ]
-        for nbrs in _orbit_leaders(allowed, _class_generators(items), _mask_image):
+
+        def child(nbrs: int) -> tuple[int, ...] | None:
             # h is free, so a new K_q would contain k: a K_{q-1} in nbrs
             if forb_k is not None and _has_within(succ, nbrs, forb_k - 1):
-                continue
+                return None
             adj = (*(a | (nbrs >> v & 1) << k for v, a in enumerate(h.adjacency)), nbrs)
             if forb_k is None and contains_subgraph(_trusted_graph(k, adj), forbidden):
-                continue
-            comp = 1 << k
-            kept = []
-            for item, mask in blocks:
-                if mask & nbrs:
-                    comp |= mask
-                else:
-                    kept.append(item)
-            kept.append(_labeled_item(adj, comp) if nbrs else (1, ()))
-            yield (k, tuple(sorted(kept)))
+                return None
+            return adj
+
+        return moves, child
 
     key = ("vertex", canonical_form(forbidden))
-    return _levels(key, {(0, ()): Graph(0, (0,))}, n, children)
+    return _levels(key, {(0, ()): Graph(0, (0,))}, n, expand)
 
 
 # ---------------------------------------------------------------------------

@@ -209,6 +209,26 @@ class TestExitCodes:
         assert (code, out) == (3, "")
         assert "exceeds the safety cap" in err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("frohmader", "--r", "3", "--s", "4", "--m-max", "5"), "need r >= s >= 2"),
+            (("zykov", "--r", "7", "--t", "8", "--n-max", "8"), "need n >= r >= t >= 2"),
+        ],
+        ids=["frohmader", "zykov"],
+    )
+    def test_verify_outside_the_closed_form_fails_before_any_search(
+        self, capsys, monkeypatch, argv, message
+    ):
+        def no_search(*args, **kwargs):
+            raise AssertionError("searched outside the closed form's domain")
+
+        monkeypatch.setattr(cli.oracle, "brute_force_mex", no_search)
+        monkeypatch.setattr(cli.oracle, "brute_force_ex", no_search)
+        code, out, err = run(capsys, "verify", *argv)
+        assert (code, out) == (2, "")
+        assert message in err
+
     def test_verify_cap_override_env(self, capsys, monkeypatch):
         monkeypatch.setenv("MEXKIT_CAP_OVERRIDE", "1")
         monkeypatch.setattr(oracle, "DEFAULT_EDGE_CAP", 2)

@@ -212,9 +212,13 @@ class TestInvariants:
                 ) == comb(s, 2) * total
 
     def test_agrees_with_naive_subset_scan(self):
-        for g in small_corpus():
+        # the 0-vertex and the edgeless graphs reach the kernel's depth-1 and
+        # depth-2 answers with nothing to count
+        for g in [Graph(0, (0,)), *small_corpus()]:
             for t in range(1, 6):
-                assert count_cliques(g, t) == naive_count_cliques(g, t)
+                expected = naive_count_cliques(g, t)
+                assert count_cliques(g, t) == expected
+                assert contains_clique(g, t) == (expected > 0)
             for v in g.vertices():
                 assert cliques_at_vertex(g, v, 3) == naive_cliques_at_vertex(g, v, 3)
             for e in g.edges():

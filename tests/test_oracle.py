@@ -293,11 +293,30 @@ class TestAutomorphisms:
         for level in oracle._free_upto(6, complete_graph(7))[1:]:
             for form, g in level.items():
                 n = g.vertex_count
-                group = [(0, *q) for q in permutations(range(1, n + 1))]
-                want = _vertex_and_pair_orbits(n, [p for p in group if _is_automorphism(g, p)])
-                assert _vertex_and_pair_orbits(n, oracle._class_generators(form[1])) == want, form
+                group = [(0, *q, n + 1) for q in permutations(range(1, n + 1))]
+                group = [p for p in group if _is_automorphism(g, p)]
+                want = _vertex_and_pair_orbits(n, group)
+                class_gens = oracle._class_generators(form[1])
+                assert _vertex_and_pair_orbits(n, class_gens) == want, form
                 gens = _labeled_generators(_shuffled(g, rng))
                 assert _vertex_and_pair_orbits(n, gens) == want, form
+                # _levels' moves: the edge builder's non-edges as pair masks,
+                # pendant pairs {u, n+1} included, and every neighbourhood of
+                # the fresh vertex n+1, which the whole group fixes
+                pairs = [
+                    1 << u | 1 << v
+                    for v in range(2, n + 2)
+                    for u in range(1, v)
+                    if not g.has_edge(u, v)
+                ]
+                for moves in (pairs, list(range(0, 1 << n + 1, 2))):
+                    index = {x: i for i, x in enumerate(moves)}
+                    first = [
+                        x
+                        for i, x in enumerate(moves)
+                        if i == min(index[sum(1 << p[v] for v in oracle._bits(x))] for p in group)
+                    ]
+                    assert oracle._orbit_leaders(moves, class_gens) == first, form
 
     def test_store_order_does_not_matter(self, monkeypatch):
         # both builders share _LEVELS and _AUTOMORPHISMS; building one
