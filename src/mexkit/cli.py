@@ -287,8 +287,8 @@ def _cmd_verify_constants(args: argparse.Namespace) -> int:
 
 def _cmd_verify_gadget(args: argparse.Namespace) -> int:
     g = constructions.critical_edge_gadget(args.r, args.m)
-    gadget_count = graphs.count_cliques(g, args.s)
     extremal_count = extremal.mex_clique(args.m, args.s, args.r)
+    gadget_count = graphs.count_cliques(g, args.s)
     ok = gadget_count > extremal_count
     print(
         f"r={args.r} m={args.m} s={args.s} gadget={gadget_count} "

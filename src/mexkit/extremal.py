@@ -59,6 +59,8 @@ def c_rs(r: int, s: int) -> ExactSquareScalar:
     """Clique-density constant binom(r,s) / binom(r,2)^(s/2); zero when s > r."""
     if r < 2 or s < 2:
         raise ValueError("need r >= 2 and s >= 2")
+    if s > r:
+        return ExactSquareScalar(Fraction(0))
     return ExactSquareScalar(Fraction(comb(r, s) ** 2, comb(r, 2) ** s))
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement
 from math import comb
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -775,38 +775,32 @@ def brute_force_min_shadow(
     """Exact minimum p-shadow size over size-element families of k-subsets of [n].
 
     With r_colorable set, the minimum runs over families admitting a
-    partition of [n] into r parts that every member meets at most once
-    (checked exhaustively over part assignments).  Every ValueError and
+    partition of [n] into r parts that every member meets at most once.
+    Relabeling [n] keeps a family's size and its p-shadow's size, and
+    every such partition is a relabeling of the one into consecutive
+    runs with the same sorted part sizes.  Splitting a part only adds
+    rainbow k-sets (those meeting each part at most once), so the search
+    takes one partition per multiset of min(r, n) positive part sizes,
+    with its rainbow k-sets as the pool.  Every ValueError and
     CapExceededError comes from _check_min_shadow, before the search.
     """
     _check_min_shadow(n, k, range(size, size + 1), p, r_colorable, cap)
     if size == 0:
         return 0
-    all_sets = list(combinations(range(1, n + 1), k))
-    set_masks: dict[tuple[int, ...], int] | None = None
+    all_sets = list(combinations(range(n), k))
+    pools = [all_sets]
     if r_colorable is not None:
-        colorings = list(product(range(min(r_colorable, n)), repeat=n))
-        set_masks = {}
-        for s in all_sets:
-            mask = 0
-            for i, coloring in enumerate(colorings):
-                if len({coloring[e - 1] for e in s}) == k:
-                    mask |= 1 << i
-            set_masks[s] = mask
-    best: int | None = None
-    for family in combinations(all_sets, size):
-        if set_masks is not None:
-            ok = -1
-            for s in family:
-                ok &= set_masks[s]
-                if not ok:
-                    break
-            if not ok:
-                continue
-        shad = {sub for s in family for sub in combinations(s, p)}
-        if best is None or len(shad) < best:
-            best = len(shad)
-    return best
+        colorings = (
+            [part for part, part_size in enumerate(sizes) for _ in range(part_size)]
+            for sizes in combinations_with_replacement(range(1, n + 1), min(r_colorable, n))
+            if sum(sizes) == n
+        )
+        pools = [[s for s in all_sets if len({color[v] for v in s}) == k] for color in colorings]
+    return min(
+        len({sub for s in family for sub in combinations(s, p)})
+        for pool in pools
+        for family in combinations(pool, size)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -379,10 +379,10 @@ def stability_experiment(
     exact r-partite edit count as in min_edits_to_r_partite.
     """
     m = g.edge_count
-    kappa = count_cliques(g, s)
     extremal_value = mex_clique(m, s, r)
-    ratio = kappa / extremal_value if extremal_value else None
     edits = min_edits_to_r_partite(g, r, cap=cap)
+    kappa = count_cliques(g, s)
+    ratio = kappa / extremal_value if extremal_value else None
     config = default_vertex_config(g, s, r, epsilon)
     trace = vertex_deletion_process(g, config)
     removed = {step.item for step in trace.steps}

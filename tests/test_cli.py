@@ -229,6 +229,37 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert message in err
 
+    @pytest.mark.parametrize(
+        "argv, code, message",
+        [
+            (("verify", "gadget", "--r", "3", "--m", "24", "--s", "5"), 2, "need r >= s >= 2"),
+            (("verify", "gadget", "--r", "3", "--m", "24", "--s", "0"), 2, "need r >= s >= 2"),
+            (("process", "stability", "--input", "T", "--r", "3", "--s", "5",
+              "--epsilon", "0.1"), 2, "need r >= s >= 2"),
+            (("process", "stability", "--input", "T", "--r", "3", "--s", "3",
+              "--epsilon", "0.1"), 3, "exceeds the safety cap"),
+        ],
+        ids=["gadget", "gadget-s0", "stability", "stability-cap"],
+    )
+    def test_rejected_input_fails_before_any_clique_count(
+        self, capsys, monkeypatch, tmp_path, argv, code, message
+    ):
+        # T_3(18) is one component on 18 vertices, past the partition cap of 16
+        from mexkit import processes
+        from mexkit.constructions import turan_graph
+
+        def no_count(*args, **kwargs):
+            raise AssertionError("counted cliques of a rejected input")
+
+        path = tmp_path / "t18.edges"
+        path.write_text(format_edge_list(turan_graph(3, 18)))
+        monkeypatch.delenv("MEXKIT_CAP_OVERRIDE", raising=False)
+        monkeypatch.setattr(cli.graphs, "count_cliques", no_count)
+        monkeypatch.setattr(processes, "count_cliques", no_count)
+        got, out, err = run(capsys, *(str(path) if a == "T" else a for a in argv))
+        assert (got, out) == (code, "")
+        assert message in err
+
     def test_verify_cap_override_env(self, capsys, monkeypatch):
         monkeypatch.setenv("MEXKIT_CAP_OVERRIDE", "1")
         monkeypatch.setattr(oracle, "DEFAULT_EDGE_CAP", 2)

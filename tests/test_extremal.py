@@ -30,6 +30,8 @@ class TestConstants:
         assert c_rs(3, 3).square == Fraction(1, 27)
         assert c_rs(2, 2).square == 1
         assert c_rs(3, 5).square == 0
+        # zero without computing C(3, 2)^s
+        assert c_rs(3, 10**12).square == 0
 
     def test_float_tracks_square(self):
         for r in range(2, 13):

@@ -1,11 +1,14 @@
 import hashlib
 import random
+from array import array
+from collections import defaultdict
 from itertools import combinations, permutations, product
 from math import comb
 
 import pytest
 
 from mexkit import oracle
+from mexkit.colex import KSetFamily, ffk_min_shadow
 from mexkit.cli import _EXPECTED_GRAPH_COUNTS
 from mexkit.constructions import (
     blowup,
@@ -37,6 +40,7 @@ from oracles import (
     naive_equitable_partition,
     naive_min_edits,
     naive_nonisomorphic_graphs,
+    naive_r_colorable,
 )
 
 P3 = graph_from_edges([(1, 2), (2, 3)])
@@ -612,6 +616,30 @@ class TestBruteForceEx:
         assert res.witnesses[0] == canonical_graph(paw)
 
 
+def _first_colorable_shadow(walk, sets, k, r, n, rejected):
+    """The shadow of the first family in walk that naive_r_colorable accepts.
+
+    Subfamilies of a colourable family are colourable, so a family
+    holding a rejected one is not asked.  Each rejected family is first
+    cut down to a minimal rejected subfamily, which rules out more.
+    """
+
+    def colorable(f):
+        family = KSetFamily.of(k, [s for i, s in enumerate(sets) if f >> i & 1])
+        return naive_r_colorable(family, r, n)
+
+    for shadow, f in walk:
+        if any(bad & f == bad for bad in rejected):
+            continue
+        if colorable(f):
+            return shadow
+        for i in range(len(sets)):
+            if f >> i & 1 and not colorable(f & ~(1 << i)):
+                f &= ~(1 << i)
+        rejected.append(f)
+    return None
+
+
 class TestBruteForceMinShadow:
     def test_examples(self):
         assert brute_force_min_shadow(6, 3, 2, 2) == 5
@@ -648,6 +676,64 @@ class TestBruteForceMinShadow:
                         for c in product(range(rr), repeat=n)
                     )
                     assert oracle._colorable_most(n, k, r, None) == want, (n, k, r)
+
+    def test_colorable_matches_naive_colourings(self):
+        # the least p-shadow over the size-subsets of k-sets that pass
+        # naive_r_colorable, which tries all r^n part assignments: each
+        # size's families are asked in increasing shadow order, ties by
+        # the (k-1)-shadow, until one passes.  With r >= n every family
+        # qualifies and the search is the uncoloured one, so there the
+        # sizes stop at 10,000 families.
+        checked = 0
+        for n in range(2, 7):
+            for k in range(2, n + 1):
+                sets = list(combinations(range(1, n + 1), k))
+                full = 1 << len(sets)
+                rejected = {r: [] for r in (2, 3, 4, 9)}
+                for p in range(k - 1, 0, -1):
+                    subs = list(combinations(range(1, n + 1), p))
+                    masks = [
+                        sum(1 << i for i, sub in enumerate(subs) if set(sub) <= set(s))
+                        for s in sets
+                    ]
+                    union = array("L", [0]) * full
+                    for f in range(1, full):
+                        low = f & -f
+                        union[f] = union[f ^ low] | masks[low.bit_length() - 1]
+                    shadow = bytearray(u.bit_count() for u in union)
+                    if p == k - 1:
+                        top = shadow
+                    buckets = defaultdict(list)
+                    for f in range(1, full):
+                        buckets[f.bit_count(), shadow[f], top[f]].append(f)
+                    for r in (2, 3, 4, 9):
+                        if min(r, n) < k:
+                            continue
+                        for size in range(1, len(sets) + 1):
+                            if r >= n and comb(len(sets), size) > 10_000:
+                                continue
+                            try:
+                                got = brute_force_min_shadow(n, k, size, p, r_colorable=r)
+                            except ValueError as exc:
+                                assert "no qualifying family" in str(exc)
+                                break
+                            walk = (
+                                (key[1], f)
+                                for key in sorted(buckets)
+                                if key[0] == size
+                                for f in buckets[key]
+                            )
+                            want = _first_colorable_shadow(walk, sets, k, r, n, rejected[r])
+                            assert got == want, (n, k, p, r, size)
+                            checked += 1
+        assert checked == 361
+
+    def test_ffk_bound_past_six_vertices(self):
+        # Frankl-Furedi-Kalai: the r-coloured Kruskal-Katona minimum
+        for n, r, size_max in ((9, 3, 4), (12, 3, 3), (8, 4, 5)):
+            for size in range(size_max + 1):
+                got = brute_force_min_shadow(n, 3, size, 2, r_colorable=r)
+                assert got == ffk_min_shadow(r, 3, size, 2), (n, r, size)
 
     def test_range_check_is_the_first_failing_size(self):
         # checking sizes 0..size_max at once raises what the first size
