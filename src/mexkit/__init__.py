@@ -53,6 +53,7 @@ from .oracle import (
     SearchResult,
     brute_force_ex,
     brute_force_mex,
+    brute_force_mex_profile,
     brute_force_min_shadow,
     canonical_form,
     canonical_graph,

@@ -216,8 +216,8 @@ def _cmd_verify_frohmader(args: argparse.Namespace) -> int:
     forbidden = constructions.complete_graph(args.r + 1)
 
     def rows() -> Iterator[tuple[bool, str]]:
-        for m in range(1, args.m_max + 1):
-            brute = oracle.brute_force_mex(m, args.s, forbidden, cap=cap).optimum
+        brutes = oracle.brute_force_mex_profile(args.m_max, args.s, forbidden, cap=cap)
+        for m, brute in enumerate(brutes, start=1):
             closed = extremal.mex_clique(m, args.s, args.r)
             yield brute == closed, f"m={m} brute={brute} closed={closed}"
 

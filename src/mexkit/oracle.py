@@ -8,10 +8,11 @@ builder's deletion rule would undo the move, relabels only the component
 the move touched, and the level keeps one canonical representative per
 form.  Each builder, _connected_upto by edges and _free_upto by
 vertices, gives only its moves, as vertex masks, and its rule.  _knapsack
-walks the multisets of connected classes that make up the graphs with m
-edges.  Safety caps guard every search whose space is super-exponential;
-they raise CapExceededError, and cap=None (CLI: MEXKIT_CAP_OVERRIDE=1)
-overrides them deliberately.
+tables the multisets of connected classes that make up the graphs with
+each edge count up to m, and _attainers walks the optimal ones.  Safety
+caps guard every search whose space is super-exponential; they raise
+CapExceededError, and cap=None (CLI: MEXKIT_CAP_OVERRIDE=1) overrides
+them deliberately.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import dataclass
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations
 from math import comb
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -48,6 +49,7 @@ __all__ = [
     "SearchResult",
     "brute_force_ex",
     "brute_force_mex",
+    "brute_force_mex_profile",
     "brute_force_min_shadow",
     "canonical_form",
     "canonical_graph",
@@ -485,57 +487,68 @@ def _is_bridge(adj: Sequence[int], a: int, b: int) -> bool:
     return True
 
 
+# (edge count, score) -> the connected classes scoring so, as (index, component
+# item) in one fixed order of all classes
+_ByScore = dict[tuple[int, int], list[tuple[int, tuple]]]
+
+
 def _knapsack(
     m: int, score: Callable[[Graph], int | None]
-) -> tuple[int, int, list[tuple[int, tuple]]]:
+) -> tuple[list[int], list[int], _ByScore]:
     """Max-plus knapsack over the connected classes with up to m edges.
 
-    A graph with m edges and no isolated vertices is a multiset of
-    connected classes whose edge counts sum to m.  score(g) is a class's
-    value, or None to leave it out.  The table holds, for every e <= m,
-    the best total over multisets of scored classes with e edges (-1
-    while there is none) and how many multisets of any classes have e
-    edges (OEIS A000664).  Every part of an optimal multiset is optimal
-    for its own edge count, so the attainers are walked through the
-    table alone, each once.  Returns the best total for m, the A000664
-    count for m and the attainers' (vertex count, items) keys, sorted,
-    which is canonical-form order.
+    A graph with e edges and no isolated vertices is a multiset of
+    connected classes whose edge counts sum to e.  score(g) is a class's
+    value, or None to leave it out; each class is scored once.  Returns
+    the whole table, for every e <= m at once: best[e], the best total
+    over multisets of scored classes with e edges (-1 while there is
+    none), total[e], how many multisets of any classes have e edges (OEIS
+    A000664), and the scored classes by (edge count, score), which
+    _attainers walks.
     """
     levels = _connected_upto(m)
-    # (edge count, component item, representative); a connected form is (n, (item,))
-    types = [(j, form[1][0], g) for j in range(m, 0, -1) for form, g in levels[j].items()]
     best, total = [0] + [-1] * m, [1] + [0] * m
-    # (edge count, score) -> indices into types of the classes scoring so
-    by_score: dict[tuple[int, int], list[int]] = {}
-    for i, (j, _, g) in enumerate(types):
+    by_score: _ByScore = {}
+    # a connected form is (n, (item,))
+    types = ((j, form[1][0], g) for j in range(m, 0, -1) for form, g in levels[j].items())
+    for i, (j, item, g) in enumerate(types):
         points = score(g)
         if points is not None:
-            by_score.setdefault((j, points), []).append(i)
+            by_score.setdefault((j, points), []).append((i, item))
         for e in range(j, m + 1):  # ascending e: each class may repeat
             total[e] += total[e - j]
             if points is not None and best[e - j] >= 0:
                 best[e] = max(best[e], best[e - j] + points)
+    return best, total, by_score
 
+
+def _attainers(e: int, best: list[int], by_score: _ByScore) -> list[tuple[int, tuple]]:
+    """The (vertex count, items) keys of the multisets attaining best[e], sorted.
+
+    Every part of an optimal multiset is optimal for its own edge count,
+    so the attainers are walked through _knapsack's table alone, each
+    once.  Sorted keys are in canonical-form order.
+    """
     keys: list[tuple[int, tuple]] = []
 
-    def walk(first: int, e: int, chosen: list[int]) -> None:
-        # chosen holds nondecreasing indices, so each multiset is met once
+    def walk(first: int, e: int, chosen: list[tuple]) -> None:
+        # the chosen indices are nondecreasing, so each multiset is met once
         if e == 0:
-            items = tuple(sorted(types[i][1] for i in chosen))
+            items = tuple(sorted(chosen))
             keys.append((sum(size for size, _ in items), items))
             return
         for j in range(1, e + 1):
             if best[e - j] >= 0:
-                for i in by_score.get((j, best[e] - best[e - j]), ()):
+                for i, item in by_score.get((j, best[e] - best[e - j]), ()):
                     if i >= first:
-                        chosen.append(i)
+                        chosen.append(item)
                         walk(i, e - j, chosen)
                         chosen.pop()
 
-    if best[m] >= 0:
-        walk(0, m, [])
+    if best[e] >= 0:
+        walk(0, e, [])
     keys.sort()
-    return best[m], total[m], keys
+    return keys
 
 
 def enumerate_graphs(m: int, *, cap: int | None = DEFAULT_EDGE_CAP) -> Iterator[Graph]:
@@ -548,7 +561,8 @@ def enumerate_graphs(m: int, *, cap: int | None = DEFAULT_EDGE_CAP) -> Iterator[
     if m < 1:
         raise ValueError("m must be at least 1")
     _require_cap(m, cap, "edge count")
-    for n, items in _knapsack(m, lambda g: 0)[2]:
+    best, _, by_score = _knapsack(m, lambda g: 0)
+    for n, items in _attainers(m, best, by_score):
         yield _graph_from_items(n, items)
 
 
@@ -613,22 +627,53 @@ def brute_force_mex(
         raise ValueError("m must be at least 1")
     _require_cap(m, cap, "edge count")
     start = time.perf_counter()
+    best, total, by_score = _knapsack(m, _mex_score(s, forbidden))
+    keys = _attainers(m, best, by_score)
+    return SearchResult(
+        optimum=max(best[m], 0),
+        witnesses=tuple(
+            _graph_from_items(n, items) for n, items in keys[:DEFAULT_WITNESS_LIMIT]
+        ),
+        witness_count=len(keys),
+        search_space_size=total[m],
+        elapsed=time.perf_counter() - start,
+    )
+
+
+def brute_force_mex_profile(
+    m_max: int,
+    s: int,
+    forbidden: Graph,
+    *,
+    cap: int | None = DEFAULT_EDGE_CAP,
+) -> list[int]:
+    """brute_force_mex's optimum for m = 1..m_max, the brute-force twin of extremal.mex_profile.
+
+    A connected (or empty) forbidden graph takes one _knapsack table up
+    to m_max, so each connected class is scored once for every m; a
+    forbidden graph with two or more components takes the per-m
+    enumerate-and-filter search.  An m_max below 1 gives an empty list.
+    """
+    if s < 1:
+        raise ValueError("s must be at least 1")
+    _require_cap(m_max, cap, "edge count")
+    if m_max < 1:
+        return []
+    if len(_components(forbidden.adjacency)) > 1:
+        return [_mex_by_enumeration(m, s, forbidden, cap).optimum for m in range(1, m_max + 1)]
+    best = _knapsack(m_max, _mex_score(s, forbidden))[0]
+    return [max(b, 0) for b in best[1:]]
+
+
+def _mex_score(s: int, forbidden: Graph) -> Callable[[Graph], int | None]:
+    """The knapsack score of a connected class: its s-cliques when it is forbidden-free, else None."""
     forb_k = _clique_order(forbidden)
 
     def score(g: Graph) -> int | None:
         found = contains_subgraph(g, forbidden) if forb_k is None else contains_clique(g, forb_k)
         return None if found else count_cliques(g, s)
 
-    best, total, keys = _knapsack(m, score)
-    return SearchResult(
-        optimum=max(best, 0),
-        witnesses=tuple(
-            _graph_from_items(n, items) for n, items in keys[:DEFAULT_WITNESS_LIMIT]
-        ),
-        witness_count=len(keys),
-        search_space_size=total,
-        elapsed=time.perf_counter() - start,
-    )
+    return score
 
 
 def _mex_by_enumeration(m: int, s: int, forbidden: Graph, cap: int | None) -> SearchResult:
@@ -720,11 +765,14 @@ def _check_min_shadow(
 
     Per size its checks are 1 <= p < k <= n, 0 <= size <= C(n, k), the
     family cap on C(C(n, k), size) and, from size 1 on, the colouring:
-    r >= 1, min(r, n) >= k, the cap on min(r, n)^n, and size at most
-    e_k of the balanced min(r, n)-partition of [n], which is the most
-    k-sets any one colouring admits (e_k only grows as two parts are
-    evened out).  Past C(n, k)/2 the family count only falls, so the
-    scan stops there.  An empty range checks nothing.
+    r >= 1, min(r, n) >= k, the cap on the families the search walks, and
+    size at most e_k of the balanced min(r, n)-partition of [n], which is
+    the most k-sets any one colouring admits (e_k only grows as two parts
+    are evened out).  The search walks the size-subsets of one pool per
+    partition of n into min(r, n) parts, and no pool is larger than that
+    e_k, so the cap bounds the partition count times C(e_k, size).  Past
+    C(n, k)/2 both counts only fall, so the scan stops there.  An empty
+    range checks nothing.
     """
     if not sizes:
         return
@@ -739,7 +787,10 @@ def _check_min_shadow(
         if size == 0:
             continue
         if most is None:
-            most = total if r_colorable is None else _colorable_most(n, k, r_colorable, cap)
+            most = total if r_colorable is None else _colorable_most(n, k, r_colorable)
+        if r_colorable is not None:
+            walk = _partition_count(n, min(r_colorable, n)) * comb(most, size)
+            _require_cap(walk, cap, "coloring search space")
         if size > most:
             raise ValueError("no qualifying family exists at this size")
         if cap is None or 2 * size >= total:
@@ -752,15 +803,51 @@ def _check_min_shadow(
             return
 
 
-def _colorable_most(n: int, k: int, r_colorable: int, cap: int | None) -> int:
+def _colorable_most(n: int, k: int, r_colorable: int) -> int:
     """e_k of the balanced min(r, n)-partition of [n], after the colouring checks."""
     if r_colorable < 1:
         raise ValueError("r_colorable must be at least 1")
     r = min(r_colorable, n)
     if r < k:
         raise ValueError(f"no {r_colorable}-colorable family of {k}-sets exists")
-    _require_cap(r**n, cap, "coloring assignment space")
     return _e_balanced(k, r, n)
+
+
+def _partitions(n: int, parts: int) -> Iterator[tuple[int, ...]]:
+    """The partitions of n into exactly `parts` positive parts, nondecreasing, in lexicographic order."""
+    if not 1 <= parts <= n:
+        return
+    a = [1] * (parts - 1) + [n - parts + 1]
+    while True:
+        yield tuple(a)
+        # raise the last part that can grow, even out those after it, and
+        # give the rest to the last part
+        tail = a[-1]
+        for i in range(parts - 2, -1, -1):
+            tail += a[i]  # the sum of a[i:]
+            v = a[i] + 1
+            last = tail - v * (parts - 1 - i)
+            if last >= v:
+                a[i:-1] = [v] * (parts - 1 - i)
+                a[-1] = last
+                break
+        else:
+            return
+
+
+def _partition_count(n: int, parts: int) -> int:
+    """How many tuples _partitions(n, parts) yields, without listing them.
+
+    Taking 1 from each part leaves a partition of n - parts into at most
+    `parts` parts, whose conjugate has parts of size at most `parts`.
+    """
+    if not 1 <= parts <= n:
+        return 0
+    ways = [1] + [0] * (n - parts)
+    for part in range(1, parts + 1):
+        for x in range(part, n - parts + 1):
+            ways[x] += ways[x - part]
+    return ways[-1]
 
 
 def brute_force_min_shadow(
@@ -792,8 +879,7 @@ def brute_force_min_shadow(
     if r_colorable is not None:
         colorings = (
             [part for part, part_size in enumerate(sizes) for _ in range(part_size)]
-            for sizes in combinations_with_replacement(range(1, n + 1), min(r_colorable, n))
-            if sum(sizes) == n
+            for sizes in _partitions(n, min(r_colorable, n))
         )
         pools = [[s for s in all_sets if len({color[v] for v in s}) == k] for color in colorings]
     return min(

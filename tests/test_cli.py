@@ -10,7 +10,6 @@ import pytest
 
 from mexkit import cli, oracle
 from mexkit.graphs import graph_from_edges, format_edge_list, parse_edge_list
-from mexkit.oracle import SearchResult
 
 
 def run(capsys, *argv):
@@ -203,7 +202,7 @@ class TestExitCodes:
         def no_search(*args, **kwargs):
             raise AssertionError("searched past the cap")
 
-        monkeypatch.setattr(cli.oracle, "brute_force_mex", no_search)
+        monkeypatch.setattr(cli.oracle, "brute_force_mex_profile", no_search)
         monkeypatch.setattr(cli.oracle, "brute_force_ex", no_search)
         code, out, err = run(capsys, *argv)
         assert (code, out) == (3, "")
@@ -223,7 +222,7 @@ class TestExitCodes:
         def no_search(*args, **kwargs):
             raise AssertionError("searched outside the closed form's domain")
 
-        monkeypatch.setattr(cli.oracle, "brute_force_mex", no_search)
+        monkeypatch.setattr(cli.oracle, "brute_force_mex_profile", no_search)
         monkeypatch.setattr(cli.oracle, "brute_force_ex", no_search)
         code, out, err = run(capsys, "verify", *argv)
         assert (code, out) == (2, "")
@@ -336,10 +335,10 @@ class TestExitCodes:
         assert code == 0 and "ok" in out
 
     def test_verify_failure_is_one(self, capsys, monkeypatch):
-        def fake_mex(m, s, forbidden, cap=None):
-            return SearchResult(999, (), 0, 0, 0.0)
+        def fake_profile(m_max, s, forbidden, cap=None):
+            return [999] * m_max
 
-        monkeypatch.setattr(cli.oracle, "brute_force_mex", fake_mex)
+        monkeypatch.setattr(cli.oracle, "brute_force_mex_profile", fake_profile)
         code, out, _ = run(capsys, "verify", "frohmader", "--r", "3", "--s", "3", "--m-max", "2")
         assert code == 1 and "FAIL" in out
 
@@ -349,6 +348,36 @@ class TestVerifySubcommands:
         code, out, _ = run(capsys, "verify", "frohmader", "--r", "3", "--s", "3", "--m-max", "4")
         assert code == 0
         assert out.count("ok") == 5
+
+    def test_frohmader_pinned_stdout(self, capsys):
+        code, out, _ = run(capsys, "verify", "frohmader", "--r", "3", "--s", "3", "--m-max", "10")
+        assert code == 0
+        assert out == (
+            "m=1 brute=0 closed=0 ok\n"
+            "m=2 brute=0 closed=0 ok\n"
+            "m=3 brute=1 closed=1 ok\n"
+            "m=4 brute=1 closed=1 ok\n"
+            "m=5 brute=2 closed=2 ok\n"
+            "m=6 brute=2 closed=2 ok\n"
+            "m=7 brute=3 closed=3 ok\n"
+            "m=8 brute=4 closed=4 ok\n"
+            "m=9 brute=4 closed=4 ok\n"
+            "m=10 brute=5 closed=5 ok\n"
+            "frohmader r=3 s=3 m<=10: ok\n"
+        )
+
+    def test_frohmader_builds_one_knapsack_table(self, capsys, monkeypatch):
+        # every row is read from one table, each connected class scored once
+        calls = []
+        knapsack = oracle._knapsack
+
+        def counted(m, score):
+            calls.append(m)
+            return knapsack(m, score)
+
+        monkeypatch.setattr(oracle, "_knapsack", counted)
+        code, out, _ = run(capsys, "verify", "frohmader", "--r", "3", "--s", "3", "--m-max", "7")
+        assert (code, out.count(" ok\n"), calls) == (0, 8, [7])
 
     @pytest.mark.parametrize(
         "argv, code, err",
@@ -370,8 +399,21 @@ class TestVerifySubcommands:
                 2,
                 "no qualifying family exists at this size",
             ),
+            (
+                # 176 part-size multisets times C(420, 2) pairs of rainbow edges
+                ("--n", "30", "--k", "2", "--p", "1", "--size-max", "2", "--r", "15"),
+                3,
+                "coloring search space 15486240 exceeds the safety cap 10000000; "
+                "pass cap=None (CLI: MEXKIT_CAP_OVERRIDE=1) to override",
+            ),
         ],
-        ids=["size bound", "colourable", "family cap", "largest colourable family"],
+        ids=[
+            "size bound",
+            "colourable",
+            "family cap",
+            "largest colourable family",
+            "colouring cap",
+        ],
     )
     def test_shadows_fail_before_any_row(self, capsys, monkeypatch, argv, code, err):
         monkeypatch.delenv("MEXKIT_CAP_OVERRIDE", raising=False)
@@ -572,6 +614,17 @@ class TestSearch:
             capsys, "search", "min-shadow", "--n", "6", "--k", "3", "--size", "2", "--p", "2"
         )
         assert json.loads(out)["value"] == 5
+
+    def test_min_shadow_colourable_within_the_default_cap(self, capsys, monkeypatch):
+        # the cap counts the walk, 19 part-size multisets times the 125
+        # rainbow triples of (5, 5, 5), not the 3^15 colourings
+        monkeypatch.delenv("MEXKIT_CAP_OVERRIDE", raising=False)
+        argv = ("--n", "15", "--k", "3", "--size", "1", "--p", "2", "--r", "3")
+        assert run(capsys, "search", "min-shadow", *argv) == (
+            0,
+            '{"n":15,"k":3,"size":1,"p":2,"r":3,"value":3}\n',
+            "",
+        )
 
     def test_blowup(self, capsys, tmp_path):
         path = tmp_path / "t39.edges"

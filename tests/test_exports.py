@@ -1,4 +1,5 @@
 import importlib
+import inspect
 import pkgutil
 from types import ModuleType
 
@@ -28,3 +29,12 @@ def test_package_exports_come_from_a_module_all():
             continue
         assert name in exported, f"mexkit.{name} is in no module's __all__"
         assert exported[name] is value, f"mexkit.{name} is not the object its module exports"
+
+
+def test_package_exports_every_oracle_search():
+    from mexkit import oracle
+
+    searches = [name for name in oracle.__all__ if inspect.isfunction(getattr(oracle, name))]
+    assert "brute_force_mex_profile" in searches
+    for name in searches:
+        assert getattr(mexkit, name, None) is getattr(oracle, name), name

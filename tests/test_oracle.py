@@ -2,7 +2,7 @@ import hashlib
 import random
 from array import array
 from collections import defaultdict
-from itertools import combinations, permutations, product
+from itertools import combinations, combinations_with_replacement, permutations, product
 from math import comb
 
 import pytest
@@ -24,6 +24,7 @@ from mexkit.oracle import (
     CapExceededError,
     brute_force_ex,
     brute_force_mex,
+    brute_force_mex_profile,
     brute_force_min_shadow,
     canonical_form,
     canonical_graph,
@@ -517,6 +518,34 @@ class TestBruteForceMex:
         assert brute_force_mex(m, 3, complete_graph(4)).optimum == mex_clique(m, 3, 3)
 
 
+class TestBruteForceMexProfile:
+    @pytest.mark.parametrize(
+        "forbidden",
+        [complete_graph(k) for k in range(1, 5)]
+        + [P3, C4, K13, TWO_K2, K2_K1, Graph(0, (0,))],
+        ids=["K1", "K2", "K3", "K4", "P3", "C4", "K13", "2K2", "K2+K1", "empty"],
+    )
+    def test_matches_the_per_m_search(self, forbidden):
+        for s in range(1, 5):
+            want = [brute_force_mex(m, s, forbidden).optimum for m in range(1, 9)]
+            assert brute_force_mex_profile(8, s, forbidden) == want, s
+
+    def test_empty_profile_and_validation(self):
+        def outcome(search, *args):
+            try:
+                search(*args)
+            except (ValueError, CapExceededError) as exc:
+                return type(exc), str(exc)
+            return None
+
+        for forbidden in (complete_graph(4), TWO_K2):
+            assert brute_force_mex_profile(0, 3, forbidden) == []
+            for m, s in ((11, 3), (3, 0), (11, 0)):
+                want = outcome(brute_force_mex, m, s, forbidden)
+                assert want is not None
+                assert outcome(brute_force_mex_profile, m, s, forbidden) == want, (m, s)
+
+
 class TestBruteForceEx:
     def test_examples(self):
         res = brute_force_ex(6, 3, complete_graph(4))
@@ -675,7 +704,7 @@ class TestBruteForceMinShadow:
                         sum(len({c[x] for x in s}) == k for s in combinations(range(n), k))
                         for c in product(range(rr), repeat=n)
                     )
-                    assert oracle._colorable_most(n, k, r, None) == want, (n, k, r)
+                    assert oracle._colorable_most(n, k, r) == want, (n, k, r)
 
     def test_colorable_matches_naive_colourings(self):
         # the least p-shadow over the size-subsets of k-sets that pass
@@ -727,6 +756,28 @@ class TestBruteForceMinShadow:
                             assert got == want, (n, k, p, r, size)
                             checked += 1
         assert checked == 361
+
+    def test_partitions_are_the_sized_multisets(self):
+        # the reference: every nondecreasing tuple of parts, kept when its
+        # sum is n
+        for n in range(1, 10):
+            for parts in range(1, n + 2):
+                want = [
+                    sizes
+                    for sizes in combinations_with_replacement(range(1, n + 1), parts)
+                    if sum(sizes) == n
+                ]
+                assert list(oracle._partitions(n, parts)) == want, (n, parts)
+                assert oracle._partition_count(n, parts) == len(want), (n, parts)
+        # p(15) partitions of 30 into 15 parts, counted without listing them
+        assert oracle._partition_count(30, 15) == 176
+
+    def test_colouring_cap_bounds_the_walk(self):
+        # 3 multisets of part sizes of 6 into 3 parts, each pool at most the 12
+        # rainbow pairs of (2, 2, 2): at most 36 one-pair families
+        with pytest.raises(CapExceededError, match="coloring search space 36 exceeds .* cap 35;"):
+            brute_force_min_shadow(6, 2, 1, 1, r_colorable=3, cap=35)
+        assert brute_force_min_shadow(6, 2, 1, 1, r_colorable=3, cap=36) == 2
 
     def test_ffk_bound_past_six_vertices(self):
         # Frankl-Furedi-Kalai: the r-coloured Kruskal-Katona minimum
