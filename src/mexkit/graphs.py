@@ -7,14 +7,26 @@ arbitrary-width integer operations.  All counts are plain Python
 integers and cannot overflow.  Graph values are immutable and every
 operation here is a pure function.
 
-Every clique count and clique test in mexkit goes through one kernel
-pair, _count_within and _has_within.  Both take successor masks of an
-acyclic orientation (succ[u] holds the neighbors that come after u) and
-look for cliques inside a candidate mask.  In any acyclic orientation a
-clique has exactly one vertex preceding all its others, so counting
-t-cliques visits each clique with fewer than t vertices exactly once,
-whatever the orientation; the last level is a popcount, not a call.
-mexkit uses label order, _label_successors, which Graph caches.
+Every clique test, and every clique count but the weighted one below,
+goes through one kernel pair, _count_within and _has_within.  Both take
+successor masks of an acyclic orientation (succ[u] holds the neighbors
+that come after u) and look for cliques inside a candidate mask.  In any
+acyclic orientation a clique has exactly one vertex preceding all its
+others, so counting t-cliques visits each clique with fewer than t
+vertices exactly once, whatever the orientation; the last level is a
+popcount, not a call.  mexkit uses label order, _label_successors,
+which Graph caches.
+
+count_cliques for t >= 2 first merges false twins, vertices with one
+neighbor mask, which are never adjacent.  Two classes of twins are fully
+joined or not at all and a clique meets a class at most once, so the
+t-cliques of g are those of the class graph, each counted as the product
+of its class sizes.  The class graph is the subgraph induced on the
+first vertex of each class, so _count_weighted walks it with the same
+successor masks.  T_r(n) has r classes and CT_r(m) at most 2r.  Graph
+builds the classes only when they at least halve the non-isolated
+vertices, and count_cliques asks for them only on _TWIN_MIN_VERTICES
+vertices or more; every other count runs on the vertices themselves.
 """
 
 from __future__ import annotations
@@ -38,6 +50,12 @@ __all__ = [
     "non_isolated_subgraph",
     "parse_edge_list",
 ]
+
+
+# Below this many vertices the twin classes cost more to build than they
+# save (timed against the unit kernel on Turan, colex Turan, complete
+# bipartite and complete split graphs).
+_TWIN_MIN_VERTICES = 12
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -124,6 +142,26 @@ class Graph:
         any orientation, so no vertex order would save it work.
         """
         return tuple(_label_successors(self.adjacency))
+
+    @cached_property
+    def _twin_classes(self) -> tuple[int, list[int], int] | None:
+        """(first vertices, class sizes by first vertex, first vertices of classes above 1).
+
+        None unless there are at most half as many classes as non-isolated
+        vertices.
+        """
+        adj = self.adjacency
+        classes = [*set(adj) - {0}]
+        if 2 * len(classes) > len(adj) - adj.count(0):
+            return None
+        sizes = [0] * len(adj)
+        firsts = big = 0
+        for a in classes:
+            v = adj.index(a)
+            sizes[v] = adj.count(a)
+            firsts |= 1 << v
+            big |= (sizes[v] > 1) << v
+        return firsts, sizes, big
 
 
 @dataclass(frozen=True)
@@ -228,11 +266,45 @@ def _has_within(succ: Sequence[int], cand: int, depth: int) -> bool:
     return False
 
 
+def _count_weighted(succ: Sequence[int], sizes: Sequence[int], big: int, cand: int, depth: int) -> int:
+    """Sum over the depth-cliques C inside cand of the product of sizes[v] over v in C; depth >= 2.
+
+    big holds the vertices of size above 1, so the last level is a popcount
+    and a step per big vertex, not a call.
+    """
+    total = 0
+    rest = cand
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        v = low.bit_length() - 1
+        below = cand & succ[v]
+        if depth > 2:
+            total += sizes[v] * _count_weighted(succ, sizes, big, below, depth - 1)
+            continue
+        weight = below.bit_count()
+        more = below & big
+        while more:
+            one = more & -more
+            more ^= one
+            weight += sizes[one.bit_length() - 1] - 1
+        total += sizes[v] * weight
+    return total
+
+
 def count_cliques(g: Graph, t: int) -> int:
-    """Exact number of t-vertex cliques in g, counted as vertex subsets."""
+    """Exact number of t-vertex cliques in g, counted as vertex subsets.
+
+    For t >= 2 on _TWIN_MIN_VERTICES or more vertices it counts on the
+    false-twin classes when Graph has them (module docstring).
+    """
     if t < 1:
         raise ValueError("clique order must be at least 1")
-    return _count_within(g._successors, _vertex_mask(g.vertex_count), t)
+    twins = g._twin_classes if t > 1 and g.vertex_count >= _TWIN_MIN_VERTICES else None
+    if twins is None:
+        return _count_within(g._successors, _vertex_mask(g.vertex_count), t)
+    firsts, sizes, big = twins
+    return _count_weighted(g._successors, sizes, big, firsts, t)
 
 
 def cliques_at_vertex(g: Graph, v: int, s: int) -> int:

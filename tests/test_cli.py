@@ -108,6 +108,13 @@ class TestCount:
         payload = json.loads(out)
         assert (payload["min_vertex"], payload["min_edge"]) == (1, 1)
 
+    def test_profile_of_colex_turan_pinned_bytes(self, capsys, tmp_path):
+        path = tmp_path / "ct.edges"
+        path.write_text(run(capsys, "construct", "ct", "--r", "6", "--m", "2000")[1])
+        code, out, _ = run(capsys, "count", "--input", str(path), "--profile")
+        assert code == 0
+        assert out == '{"n":70,"m":2000,"profile":[70,2000,30498,262143,1202904,2300400]}\n'
+
 
 class TestExitCodes:
     def test_unknown_flag_is_usage_error(self, capsys):

@@ -156,10 +156,34 @@ class TestClosedForm:
             closed_form_check(3, 3, 7)
 
     def test_lattice_grid(self):
-        for r in range(2, 6):
+        for r in range(2, 9):
             for s in range(2, r + 1):
-                for n in range(r, 21, r):
+                for n in range(r, 161, r):
                     assert closed_form_check(r, s, n), (r, s, n)
+
+    @pytest.mark.parametrize("change", ["minus an edge", "plus an edge in a part", "2-switch"])
+    def test_count_reads_the_built_graph(self, monkeypatch, change):
+        # T_r(n) with one edge fewer or one more, or with x-y and z-w traded
+        # for x-z and y-w (x, z in one part of at least 3, y, w in another):
+        # the 2-switch keeps every degree, so only the clique count on the
+        # built adjacency can tell it from T_r(n)
+        for r, s, n in [(3, 3, 9), (4, 3, 12), (5, 4, 15), (6, 5, 18), (8, 6, 24)]:
+            x, y, z, w = 1, 2, 1 + r, 2 + r
+            flips = {
+                "minus an edge": [(x, y)],
+                "plus an edge in a part": [(x, z)],
+                "2-switch": [(x, y), (z, w), (x, z), (y, w)],
+            }[change]
+            adj = list(turan_graph(r, n).adjacency)
+            for u, v in flips:
+                adj[u] ^= 1 << v
+                adj[v] ^= 1 << u
+            perturbed = Graph(n, tuple(adj))
+            if change == "2-switch":
+                assert set(map(int.bit_count, adj)) == {0, n - n // r}
+                assert count_cliques(perturbed, s) != count_cliques(turan_graph(r, n), s)
+            monkeypatch.setattr(extremal, "colex_turan_graph", lambda r, m: perturbed)
+            assert not closed_form_check(r, s, n), (r, s, n)
 
     def test_irregular_graph_fails(self, monkeypatch):
         # T_3(6) plus a pendant edge keeps its 8 triangles but is not 4-regular

@@ -1,5 +1,6 @@
 import random
 from itertools import combinations
+from math import comb
 
 import pytest
 
@@ -140,6 +141,24 @@ class TestCliqueProfile:
         profile = clique_profile(complete_graph(4))
         assert profile.omega == 4 and profile.counts == (4, 6, 4, 1)
 
+    def test_colex_turan_profile_pinned(self):
+        # the counts the unit kernel gives on all 70 vertices
+        g = colex_turan_graph(6, 2000)
+        assert clique_profile(g).counts == (70, 2000, 30498, 262143, 1202904, 2300400)
+        assert g._twin_classes[0].bit_count() == 12
+
+    def test_extremal_graphs_have_few_twin_classes(self):
+        # T_r(n) collapses to K_r, and CT_r(m) to at most 2r classes
+        from mexkit.graphs import _bits, _count_within
+
+        g = turan_graph(5, 20)
+        firsts, sizes, big = g._twin_classes
+        assert [sizes[v] for v in _bits(firsts)] == [4] * 5 and big == firsts
+        assert _count_within(g._successors, firsts, 5) == 1
+        for r in range(2, 8):
+            for m in range(1, 3000):
+                assert len(set(colex_turan_graph(r, m).adjacency) - {0}) <= 2 * r, (r, m)
+
 
 def _random_graph(rng, n):
     """n vertices at a random density; half the time no edge joins 1..c to c+1..n, c random."""
@@ -160,6 +179,31 @@ def _edge_component_count(g):
     for u, v in g.edges():
         root[find(u)] = find(v)
     return len({find(v) for v in g.vertices() if g.adjacency[v]})
+
+
+def _planted_twins(rng, n):
+    """A random graph on k classes blown up to n vertices, relabeled at random, and whether
+    an edge was put inside a class.
+
+    Half the time k is at most n/2, so the classes halve the vertices; about
+    one vertex in ten is left isolated.
+    """
+    k = rng.randint(1, n if rng.random() < 0.5 else max(1, n // 2))
+    part = [rng.randrange(k) if rng.random() < 0.9 else None for _ in range(n)]
+    p, inside = rng.uniform(0.5, 1), rng.uniform(0, 0.15)
+    base = {(a, b) for a in range(k) for b in range(a) if rng.random() < p}
+    label = rng.sample(range(1, n + 1), n)
+    edges, split = [], False
+    for u, v in combinations(range(n), 2):
+        a, b = part[u], part[v]
+        if a is None or b is None:
+            continue
+        if a == b and rng.random() < inside:
+            split = True
+        elif (max(a, b), min(a, b)) not in base:
+            continue
+        edges.append((label[u], label[v]))
+    return graph_from_edges(edges, explicit_vertex_count=n), split
 
 
 class TestContainsSubgraph:
@@ -291,6 +335,46 @@ class TestInvariants:
                         assert graphs._has_within(succ, cand, depth) == (
                             count_within(succ, cand, depth) > 0
                         )
+
+    def test_twin_quotient_matches_the_unit_kernel(self, monkeypatch):
+        # graphs on both sides of the halving rule, quotients holding a K_4 and
+        # classes split by an edge inside them all meet the naive scan and the
+        # unit kernel on the whole vertex set; with no size floor every graph
+        # that passes the rule is counted on its twin classes
+        from mexkit import graphs
+
+        monkeypatch.setattr(graphs, "_TWIN_MIN_VERTICES", 0)
+        rng = random.Random(406)
+        seen = dict.fromkeys(["quotient", "none", "quotient with K_4", "split class"], 0)
+        for _ in range(200):
+            n = rng.randint(1, 14)
+            g, split = _planted_twins(rng, n)
+            has_quotient = g._twin_classes is not None
+            profile = []
+            for t in range(1, 7):
+                expected = naive_count_cliques(g, t)
+                whole = graphs._count_within(g._successors, graphs._vertex_mask(n), t)
+                assert count_cliques(g, t) == expected == whole, (g, t)
+                assert contains_clique(g, t) == (expected > 0), (g, t)
+                profile.append(expected)
+            assert clique_profile(g).counts[:6] == tuple(c for c in profile if c), g
+            seen["quotient" if has_quotient else "none"] += 1
+            seen["quotient with K_4"] += has_quotient and profile[3] > 0
+            seen["split class"] += has_quotient and split
+        assert min(seen.values()) >= 10, seen
+
+    def test_complete_split_graph_at_the_halving_rule(self):
+        # K_a joined to b independent vertices has a + 1 twin classes, so the
+        # rule takes it exactly when b >= a + 2; its t-cliques number
+        # C(a, t) + b C(a, t - 1) either way
+        for a in (10, 11, 30):
+            for b in (a + 1, a + 2):
+                edges = [(u, v) for v in range(2, a + 1) for u in range(1, v)]
+                edges += [(u, a + w) for u in range(1, a + 1) for w in range(1, b + 1)]
+                g = graph_from_edges(edges)
+                assert (g._twin_classes is not None) == (b == a + 2), (a, b)
+                for t in range(2, 6):
+                    assert count_cliques(g, t) == comb(a, t) + b * comb(a, t - 1), (a, b, t)
 
     def test_subgraph_matches_clique_count(self):
         for g in named_small_graphs():
