@@ -21,7 +21,7 @@ import os
 import re
 import sys
 from pathlib import Path
-from typing import Callable, Iterator, NoReturn
+from typing import Callable, Iterator
 
 from . import colex, constructions, extremal, graphs, oracle, processes
 
@@ -561,15 +561,6 @@ _COMMANDS: dict[str, _Command | _Group] = {
 }
 
 
-class _Reparse(Exception):
-    """A path-only parser met a usage error, which the full parser reports."""
-
-
-class _PathParser(argparse.ArgumentParser):
-    def error(self, message: str) -> NoReturn:
-        raise _Reparse
-
-
 class _NegativeNumber:
     """argparse's test for a negative number, widened to all that float() reads (-1e-3, -inf)."""
 
@@ -602,13 +593,15 @@ def build_parser(path: tuple[str, ...] | None = None) -> argparse.ArgumentParser
     milliseconds and one command's a twentieth of that.  A command's
     parser is the full parser's leaf (same prog, same arguments) and
     parses the arguments after path; it sets the names the full parser's
-    top and group levels would, so both give the same namespace.  It
-    reports no usage error: it raises _Reparse, and main parses again
-    with the full parser, whose messages and usage lines are today's.
+    top and group levels would, so both give the same namespace, and it
+    prints the same bytes for -h and for every usage error but one.
+    Unrecognized arguments the full parser reports against its own usage
+    line, so main builds it for those, for bare `mexkit`, for top- and
+    group-level help and for an unknown command.
     """
     if path is not None:
         entry = _COMMANDS[path[0]]
-        p = _PathParser(prog=" ".join(("mexkit", *path)))
+        p = argparse.ArgumentParser(prog=" ".join(("mexkit", *path)))
         if isinstance(entry, _Group):
             p.set_defaults(**{entry.dest: path[1]})
             entry = entry.commands[path[1]]
@@ -646,24 +639,19 @@ def _command_path(argv: list[str]) -> tuple[str, ...] | None:
     return None
 
 
-def _parse_args(argv: list[str]) -> argparse.Namespace:
-    path = _command_path(argv)
-    if path is not None:
-        try:
-            return build_parser(path).parse_args(argv[len(path) :])
-        except _Reparse:
-            pass
-    return build_parser().parse_args(argv)
-
-
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
+    path = _command_path(argv)
     try:
-        args = _parse_args(argv)
+        if path is not None:
+            args, extra = build_parser(path).parse_known_args(argv[len(path) :])
+        if path is None or extra:
+            parser = build_parser()
+            args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else EXIT_OK
     if not hasattr(args, "handler"):
-        build_parser().print_help()
+        parser.print_help()
         return EXIT_USAGE
     try:
         return args.handler(args)

@@ -334,16 +334,16 @@ def min_clique_degrees(g: Graph, s: int) -> tuple[int | None, int | None]:
     """Minimum per-vertex and per-edge s-clique counts.
 
     Returns (min over vertices, min over edges); a slot is None when the
-    graph has no vertices (resp. no edges) to minimize over.
+    graph has no vertices (resp. no edges) to minimize over.  A count
+    depends only on N(v), or on N(u) & N(v) for an edge, so each distinct
+    mask is counted once.
     """
     if s < 2:
         raise ValueError("clique order must be at least 2")
-    delta = min(
-        (cliques_at_vertex(g, v, s) for v in g.vertices()), default=None
-    )
-    delta_edge = min(
-        (cliques_at_edge(g, e, s) for e in g.edges()), default=None
-    )
+    adj, succ = g.adjacency, g._successors
+    delta = min((_count_within(succ, a, s - 1) for a in set(adj[1:])), default=None)
+    common = {adj[u] & adj[v] for u, v in g.edges()}
+    delta_edge = min((_count_within(succ, c, s - 2) for c in common), default=None)
     return (delta, delta_edge)
 
 

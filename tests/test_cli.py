@@ -812,6 +812,11 @@ def _path_corpus():
         yield pytest.param([*path, *flags, int_flag, "x"], id=f"{name} bad int")
         yield pytest.param([*path, *flags, "--bogus"], id=f"{name} unknown flag")
     yield from _exclusive_corpus()
+    mex = ["mex", "--m", "5", "--s", "3", "--r", "3"]
+    yield pytest.param([*mex, "--format", "xml"], id="mex bad choice")
+    yield pytest.param(mex[:-1], id="mex flag without value")
+    yield pytest.param([*mex, "extra"], id="mex extra positional")
+    yield pytest.param(["count", "--input", "-", "--edge", "1"], id="count short nargs")
     for argv in (
         [], ["-h"], ["verify"], ["verify", "-h"], ["bogus"], ["verify", "bogus"], ["--", "mex"]
     ):
@@ -854,6 +859,32 @@ class TestParserPaths:
         monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
         assert run(capsys, *argv)[0] == 0
         assert len(built) <= most
+
+    @pytest.mark.parametrize(
+        "argv, code, count",
+        [
+            (["verify", "frohmader", "--r", "3", "--s", "3"], 2, 1),
+            (["verify", "frohmader", "--r", "3", "--s", "x", "--m-max", "2"], 2, 1),
+            (["mex", "--m", "5", "--profile", "--s", "3", "--r", "3"], 2, 1),
+            (["verify", "frohmader", "-h"], 0, 1),
+            ([], 2, 31),
+            (["verify", "frohmader", "--r", "3", "--s", "3", "--m-max", "2", "--bogus"], 2, 32),
+        ],
+        ids=["missing flag", "bad int", "exclusive pair", "command -h", "empty", "unrecognized"],
+    )
+    def test_parsers_built_per_run(self, capsys, monkeypatch, argv, code, count):
+        # a command's own parser reports its usage errors and help; only bare
+        # `mexkit` and unrecognized arguments build the full parser
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        assert run(capsys, *argv)[0] == code
+        assert len(built) == count
 
 
 def test_python_dash_m_mexkit_is_the_cli():

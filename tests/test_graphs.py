@@ -130,6 +130,32 @@ class TestMinCliqueDegrees:
         empty = graph_from_edges([])
         assert min_clique_degrees(empty, 3) == (None, None)
 
+    def test_colex_turan_pinned(self):
+        g = colex_turan_graph(6, 2000)
+        assert min_clique_degrees(g, 5) == (648, 135)
+        assert min_clique_degrees(g, 6) == (432, 108)
+
+    def test_matches_naive_minima(self):
+        # planted false-twin classes share their masks; isolated vertices
+        # count 0 at s = 2 and up, and an edgeless graph leaves no edge minimum
+        rng = random.Random(407)
+        seen = dict.fromkeys(["isolated", "edgeless", "twins"], 0)
+        for _ in range(150):
+            n = rng.randint(0, 12)
+            g = _planted_twins(rng, n)[0] if n else Graph(0, (0,))
+            for s in range(2, 6):
+                want_vertex = min(
+                    (naive_cliques_at_vertex(g, v, s) for v in g.vertices()), default=None
+                )
+                want_edge = min(
+                    (naive_cliques_at_edge(g, e, s) for e in g.edges()), default=None
+                )
+                assert min_clique_degrees(g, s) == (want_vertex, want_edge), (g, s)
+            seen["isolated"] += 0 in g.adjacency[1:]
+            seen["edgeless"] += g.edge_count == 0
+            seen["twins"] += len(set(g.adjacency[1:])) < n
+        assert min(seen.values()) >= 10, seen
+
 
 class TestCliqueProfile:
     def test_examples(self):
