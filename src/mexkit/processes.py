@@ -17,16 +17,18 @@ Cost: the edge process counts each edge's s-cliques once, then after a
 deletion subtracts from each edge that shared an s-clique with the deleted
 one the cliques it lost, which lie inside the common neighbourhood of the
 deleted edge's ends (at s = 3 one triangle each, no count at all), keeping
-the least value in a lazy heap; the vertex process scans the live
-vertices' degrees, O(n) popcounts a step.
+the least value in a lazy heap.  Edges and heap entries are packed ints:
+u < v is v << b | u, an entry value << 2b | (v << b | u), so int order is
+(value, v, u) order, the colex tie-break.  The vertex process scans the
+live vertices' degrees, O(n) popcounts a step.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from itertools import islice
 from math import factorial
 
@@ -34,7 +36,6 @@ from .extremal import beta, c_rs, mex_clique
 from .graphs import (
     Graph,
     _bits,
-    _colex_edges,
     _count_within,
     _label_successors,
     _trusted_graph,
@@ -120,7 +121,10 @@ def proof_constants(r: int, s: int, epsilon: float) -> ProofConstants:
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
     c = c_rs(r, s).float_value
-    rho_lower = 1.0 - (factorial(s) / 2 ** (s / 2) * (c + epsilon / 3)) ** (2 / s)
+    try:
+        rho_lower = 1.0 - (factorial(s) / 2 ** (s / 2) * (c + epsilon / 3)) ** (2 / s)
+    except OverflowError:  # s! past the float range
+        raise ValueError(f"s! overflows a float in rho_lower (s={s}, epsilon={epsilon})") from None
     rho = (max(rho_lower, 0.0) + 1.0) / 2.0
     delta = s * (s - 2) * c * epsilon**2 / 16
     epsilon_prime = epsilon / (16 * r + 1)
@@ -134,9 +138,11 @@ def default_edge_config(g: Graph, s: int, r: int, epsilon: float) -> ProcessConf
     """Edge-mode defaults: threshold 2^(s-2) eps^(2s-4)/(s-2)! * m^((s-2)/2), budget floor(rho*m)."""
     if s < 3:
         raise ValueError("edge mode defaults need s >= 3")
+    rho = proof_constants(r, s, epsilon).rho  # raises from s = 171 on, before (s-2)! can overflow
     coeff = 2 ** (s - 2) * epsilon ** (2 * s - 4) / factorial(s - 2)
-    budget = math.floor(proof_constants(r, s, epsilon).rho * g.edge_count)
-    return ProcessConfig("edge", s, r, epsilon, coeff, (s - 2) / 2, budget)
+    if coeff == 0.0:
+        raise ValueError(f"default edge coefficient underflows to 0 (s={s}, epsilon={epsilon})")
+    return ProcessConfig("edge", s, r, epsilon, coeff, (s - 2) / 2, math.floor(rho * g.edge_count))
 
 
 def default_vertex_config(g: Graph, s: int, r: int, epsilon: float) -> ProcessConfig:
@@ -203,8 +209,10 @@ def _edge_items(adj: list[int], s: int) -> tuple[Callable, Callable]:
     """The edge mode's least() -> (value, edge) and delete(e) over the live edges of adj.
 
     Every edge's value (the s-cliques through it) is counted once, up
-    front, and kept in a dict beside a lazy min-heap keyed (value, v, u),
-    so the least key is the colex-first edge of least value.  Deleting
+    front, into a dict keyed by the int v << b | u (u < v; b bits hold
+    any label) beside a lazy min-heap of ints value << 2b | (v << b | u).
+    Int order is (value, v, u) order, so the least entry is the colex-first
+    edge of least value, and no tuple is built, hashed or compared.  Deleting
     {u, v} destroys the s-cliques through both; an edge ab loses those
     through u, v, a and b.  With W = N(u) & N(v), uw and vw (w in W) each
     lose one per (s-3)-clique of W & N(w), and, when s >= 4, an edge wx
@@ -216,43 +224,58 @@ def _edge_items(adj: list[int], s: int) -> tuple[Callable, Callable]:
     """
     succ = _label_successors(adj)
     depth = s - 2
-    value = {(u, v): _count_within(succ, adj[u] & adj[v], depth) for u, v in _colex_edges(adj)}
-    heap = [(val, v, u) for (u, v), val in value.items()]
-    heapq.heapify(heap)
+    b = len(adj).bit_length()  # every label fits in b bits
+    label, shift = (1 << b) - 1, 2 * b
+    value = {}
+    for v in range(2, len(adj)):
+        near, high = adj[v], v << b
+        for u in _bits(near & ((1 << v) - 1)):
+            value[high | u] = _count_within(succ, adj[u] & near, depth)
+    heap = [val << shift | e for e, val in value.items()]
+    heapify(heap)
 
-    def lower(a: int, b: int, loss: int) -> None:
+    def lower(x: int, y: int, loss: int) -> None:
         if loss:
-            e = (a, b) if a < b else (b, a)
+            e = y << b | x if x < y else x << b | y
             val = value[e] = value[e] - loss
-            heapq.heappush(heap, (val, e[1], e[0]))
+            heappush(heap, val << shift | e)
 
     def least() -> tuple[int, tuple[int, int]] | None:
         while heap:
-            val, v, u = heap[0]
-            if value.get((u, v)) == val:
-                return val, (u, v)
-            heapq.heappop(heap)
+            top = heap[0]
+            val, e = top >> shift, top & (1 << shift) - 1
+            if value.get(e) == val:
+                return val, (e & label, e >> b)
+            heappop(heap)
         return None
 
-    def delete(e: tuple[int, int]) -> None:
-        u, v = e
+    def delete(edge: tuple[int, int]) -> None:
+        u, v = edge
         common = adj[u] & adj[v]
         adj[u] &= ~(1 << v)
         adj[v] &= ~(1 << u)
         succ[u] &= ~(1 << v)
-        del value[e]
+        del value[v << b | u]
         if depth == 0:
             return  # at s = 2 an edge's only s-clique is itself
+        if depth == 1:  # at s = 3 uw and vw lose just the triangle uvw
+            for w in _bits(common):
+                e = w << b | u if u < w else u << b | w
+                val = value[e] = value[e] - 1
+                heappush(heap, val << shift | e)
+                e = w << b | v if v < w else v << b | w
+                val = value[e] = value[e] - 1
+                heappush(heap, val << shift | e)
+            return
         for w in _bits(common):
             # uw and vw lose one s-clique per (s-3)-clique of W & N(w)
             near = common & adj[w]
-            loss = _count_within(succ, near, depth - 1) if depth > 1 else 1
+            loss = _count_within(succ, near, depth - 1)
             lower(u, w, loss)
             lower(v, w, loss)
-            if depth >= 2:
-                # wx inside W loses one per (s-4)-clique of W & N(w) & N(x)
-                for x in _bits(near & succ[w]):
-                    lower(w, x, _count_within(succ, near & adj[x], depth - 2) if depth > 2 else 1)
+            # wx inside W loses one per (s-4)-clique of W & N(w) & N(x)
+            for x in _bits(near & succ[w]):
+                lower(w, x, _count_within(succ, near & adj[x], depth - 2) if depth > 2 else 1)
 
     return least, delete
 

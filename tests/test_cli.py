@@ -301,6 +301,27 @@ class TestExitCodes:
         if "--exponent" in argv:
             assert "exponent" in err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("process", "edge", "--s", "120", "--r", "3", "--epsilon", "0.2"),
+             "default edge coefficient underflows to 0 (s=120, epsilon=0.2)"),
+            (("process", "edge", "--s", "171", "--r", "3", "--epsilon", "0.9",
+              "--coefficient", "1", "--budget", "1"),
+             "s! overflows a float in rho_lower (s=171, epsilon=0.9)"),
+            (("process", "constants", "--r", "3", "--s", "171", "--epsilon", "0.2"),
+             "s! overflows a float in rho_lower (s=171, epsilon=0.2)"),
+        ],
+        ids=["edge-coefficient-underflow", "edge-rho-overflow", "constants-rho-overflow"],
+    )
+    def test_large_s_names_the_default_constant(self, capsys, tmp_path, argv, message):
+        if argv[1] == "edge":
+            path = tmp_path / "paw.edges"
+            path.write_text("1 2\n1 3\n2 3\n3 4\n")
+            argv = (*argv[:2], "--input", str(path), *argv[2:])
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     @pytest.mark.parametrize("mode", ["edge", "vertex"])
     @pytest.mark.parametrize("flag", ["--coefficient", "--exponent"])
     def test_non_finite_threshold_is_usage_error(self, capsys, tmp_path, mode, flag):

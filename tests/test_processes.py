@@ -13,7 +13,7 @@ from mexkit.constructions import (
     turan_graph,
 )
 from mexkit.extremal import beta
-from mexkit.graphs import Graph, count_cliques, graph_from_edges
+from mexkit.graphs import Graph, contains_clique, count_cliques, graph_from_edges
 from mexkit.processes import (
     PartialVertex,
     ProcessConfig,
@@ -86,6 +86,17 @@ class TestConfig:
         vcfg = default_vertex_config(g, 3, 3, 0.1)
         assert vcfg.coefficient == pytest.approx(beta(3).float_value * 0.8)
         assert vcfg.edge_budget == math.floor(0.1 * g.edge_count)
+
+    def test_large_s_defaults_name_the_constant(self):
+        g = colex_turan_graph(3, 40)
+        # 2^(s-2) eps^(2s-4)/(s-2)! is 0.0 in floats long before s! overflows
+        with pytest.raises(ValueError, match=r"coefficient underflows to 0 \(s=120, epsilon=0\.2\)"):
+            default_edge_config(g, 120, 3, 0.2)
+        default_edge_config(g, 119, 3, 0.2)
+        for call in (lambda: proof_constants(3, 171, 0.9), lambda: default_edge_config(g, 171, 3, 0.9)):
+            with pytest.raises(ValueError, match=r"s! overflows a float in rho_lower \(s=171, epsilon=0\.9\)"):
+                call()
+        assert proof_constants(3, 170, 0.9).rho == 0.5
 
     def test_budget_cannot_exceed_edges(self):
         g = complete_graph(3)
@@ -183,6 +194,30 @@ def _random_graph(rng, n):
     return graph_from_edges(edges, explicit_vertex_count=n)
 
 
+def _greedy_clique_free(rng, k, r):
+    """The pairs of 1..k in random order, each kept unless it closes a K_{r+1}."""
+    pairs = list(combinations(range(1, k + 1), 2))
+    rng.shuffle(pairs)
+    edges = []
+    for e in pairs:
+        if not contains_clique(graph_from_edges(edges + [e], k), r + 1):
+            edges.append(e)
+    return graph_from_edges(edges, k)
+
+
+def _relabel(g, labels, n):
+    """g on n vertices with vertex i renamed labels[i - 1]; increasing labels keep colex order."""
+    return graph_from_edges([(labels[u - 1], labels[v - 1]) for u, v in g.edges()], n)
+
+
+def _relabel_trace(trace, labels, n):
+    steps = tuple(
+        dataclasses.replace(step, item=(labels[step.item[0] - 1], labels[step.item[1] - 1]))
+        for step in trace.steps
+    )
+    return dataclasses.replace(trace, steps=steps, final_graph=_relabel(trace.final_graph, labels, n))
+
+
 class TestEdgeProcessAgainstRescan:
     """Traces equal those of the rescan oracle, which recounts every edge at every step."""
 
@@ -242,6 +277,40 @@ class TestEdgeProcessAgainstRescan:
                         trace = edge_deletion_process(g, cfg)
                         assert len(trace.steps) == budget
                         assert trace == naive_edge_deletion_process(g, cfg)
+
+    def test_labels_past_six_bits(self):
+        # an edge u < v is packed as v << b | u with b = len(adj).bit_length():
+        # b = 6 at n = 62 and 7 at n = 63, 64 and 100.  The rescan oracle pays
+        # C(n - 2, s - 2) per edge, so it runs on the graph's non-isolated
+        # vertices relabelled 1, 2, ... in order, and its trace is relabelled back
+        rng = random.Random(27)
+        cases = [(Graph(0, (0,)), [], 100), (complete_graph(2), [64, 100], 100)]
+        for n in (62, 63, 64, 100):
+            labels = sorted(rng.sample(range(1, n), 9)) + [n]
+            cases.append((_greedy_clique_free(rng, 10, 5), labels, n))
+        wide = set()
+        for h, labels, n in cases:
+            g = _relabel(h, labels, n)
+            for s in (3, 4, 5):
+                default = default_edge_config(g, s, 5, 0.5)
+                for cfg in (
+                    default,
+                    dataclasses.replace(default, coefficient=4 * default.coefficient),
+                    dataclasses.replace(default, coefficient=1e9, edge_budget=g.edge_count),
+                ):
+                    trace = edge_deletion_process(g, cfg)
+                    assert trace == _relabel_trace(naive_edge_deletion_process(h, cfg), labels, n)
+                    wide.update(step.item[0] >= 64 for step in trace.steps)
+        assert wide == {False, True}  # some deleted edges have both ends past bit 5
+
+    def test_tie_above_bit_five(self):
+        # value-0 edges alike in their low six bits: (3, 70) and (67, 70)
+        # differ in u only at bit 6, (5, 10) and (5, 74) in v only
+        g = graph_from_edges([(67, 70), (5, 74), (3, 70), (5, 10), (1, 2), (1, 99), (2, 99)], 100)
+        cfg = edge_config(g, 1e9, 0.0, g.edge_count)
+        trace = edge_deletion_process(g, cfg)
+        assert [step.item for step in trace.steps[:4]] == [(5, 10), (3, 70), (67, 70), (5, 74)]
+        assert trace == naive_edge_deletion_process(g, cfg)
 
     def test_no_recount_after_the_initial_values(self, monkeypatch):
         # the up-front values take one count at depth s - 2 per edge; after
