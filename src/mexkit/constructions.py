@@ -2,9 +2,11 @@
 
 All constructions use one shared labeling convention: vertex v belongs to
 part ((v - 1) mod r) + 1.  Under that convention the balanced complete
-multipartite graph on [n] is literally the subgraph of the colex Turan
-graph spanned by [n], which makes the isomorphism checks in the tests
-plain equality on the non-isolated part.
+multipartite graph on [n] is the first t_r(n) pairs of the r-partite
+colex order, so turan_graph, complete_graph (r = n) and the host of the
+critical-edge gadget are all built by the one row walk behind
+colex_turan_graph, and the isomorphism checks in the tests are plain
+equality on the non-isolated part.
 """
 
 from __future__ import annotations
@@ -44,15 +46,13 @@ def _residue_classes(r: int, n: int) -> list[int]:
 def turan_graph(r: int, n: int) -> Graph:
     """Complete r-partite graph on [n], parts assigned by residue class.
 
-    Each vertex is joined to every vertex outside its class, one mask
-    operation per vertex.
+    The pairs u < v <= n in different classes are the first t_r(n) pairs
+    of the r-partite colex order, as rows 1..n of its walk, so the graph
+    is that prefix.  With no edges (r = 1 or n <= 1) the prefix has no
+    vertices and is padded with n isolated ones.
     """
-    edges = turan_number(r, n)  # validates r and n before any mask is built
-    classes = _residue_classes(r, n)
-    everyone = _vertex_mask(n)
-    adj = (0, *(everyone & ~classes[(v - 1) % r] for v in range(1, n + 1)))
-    assert sum(m.bit_count() for m in adj) // 2 == edges
-    return _trusted_graph(n, adj)
+    g = _colex_prefix(r, turan_number(r, n))  # turan_number validates r and n
+    return _trusted_graph(n, g.adjacency + (0,) * (n - g.vertex_count))
 
 
 def turan_number(r: int, n: int) -> int:
@@ -209,15 +209,15 @@ def critical_edge_gadget_params(r: int, m: int) -> GadgetParams:
 def critical_edge_gadget(r: int, m: int) -> Graph:
     """Balanced r-partite graph plus an apex vertex, m edges in total.
 
-    The apex v* = n is joined to the attach_count lowest-labeled vertices,
-    which under the residue labeling distributes its neighbors round-robin
-    across the r parts, as evenly as possible.
+    The host T_r(n - 1) is the colex row walk's prefix (turan_graph); the
+    apex v* = n is joined to the attach_count lowest-labeled vertices,
+    which under the residue labeling distributes its neighbors
+    round-robin across the r parts, as evenly as possible.  The apex bit
+    is set in those rows and they form the apex's row, so the adjacency
+    is symmetric by construction.
     """
     params = critical_edge_gadget_params(r, m)
-    n = params.host_order
-    base = turan_graph(r, n - 1)
-    adj = list(base.adjacency) + [0]
-    for u in range(1, params.attach_count + 1):
-        adj[u] |= 1 << n
-        adj[n] |= 1 << u
-    return Graph(n, tuple(adj))
+    n, q = params.host_order, params.attach_count
+    base = turan_graph(r, n - 1).adjacency
+    adj = (0, *(a | 1 << n for a in base[1 : q + 1]), *base[q + 1 :], _vertex_mask(q))
+    return _trusted_graph(n, adj)

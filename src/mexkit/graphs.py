@@ -183,8 +183,8 @@ def _trusted_graph(n: int, adjacency: tuple[int, ...]) -> Graph:
 
     For builders that set or clear every edge's two bits together: the
     oracle's canonical representatives and F-free level children, the
-    Turan and colex constructions and the final graphs of the deletion
-    processes.  Input goes through Graph(...).
+    Turan, colex and critical-edge gadget constructions and the final
+    graphs of the deletion processes.  Input goes through Graph(...).
     """
     g = object.__new__(Graph)
     object.__setattr__(g, "vertex_count", n)

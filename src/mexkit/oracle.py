@@ -764,43 +764,38 @@ def _check_min_shadow(
     """Raise what brute_force_min_shadow raises first over sizes, in order, without a search.
 
     Per size its checks are 1 <= p < k <= n, 0 <= size <= C(n, k), the
-    family cap on C(C(n, k), size) and, from size 1 on, the colouring:
-    r >= 1, min(r, n) >= k, the cap on the families the search walks, and
-    size at most e_k of the balanced min(r, n)-partition of [n], which is
-    the most k-sets any one colouring admits (e_k only grows as two parts
-    are evened out).  The search walks the size-subsets of one pool per
-    partition of n into min(r, n) parts, and no pool is larger than that
-    e_k, so the cap bounds the partition count times C(e_k, size).  Past
-    C(n, k)/2 both counts only fall, so the scan stops there.  An empty
-    range checks nothing.
+    family cap on C(C(n, k), size) and, from size 1 on, the colouring,
+    with r = r_colorable or, without one, r = n: r >= 1, min(r, n) >= k,
+    the cap on the families the search walks, and size at most e_k of the
+    balanced min(r, n)-partition of [n], which is the most k-sets any one
+    colouring admits (e_k only grows as two parts are evened out).  The
+    search walks the size-subsets of one pool per partition of n into
+    min(r, n) parts, and no pool is larger than that e_k, so the cap
+    bounds the partition count times C(e_k, size); at r = n that is the
+    family count.  Past C(n, k)/2 both counts only fall, so once the caps
+    are off or the scan is past that point only size > e_k can fail, and
+    the scan goes on to e_k + 1 alone.  An empty range checks nothing.
     """
     if not sizes:
         return
     if not 1 <= p < k <= n:
         raise ValueError(f"need 1 <= p < k <= n, got p={p}, k={k}, n={n}")
     total = comb(n, k)
-    most = None  # the largest size a qualifying family can have
-    for size in sizes:
+    r = n if r_colorable is None else r_colorable
+    size = sizes[0]
+    while size in sizes:
         if not 0 <= size <= total:
             raise ValueError(f"size must lie in 0..{total}")
         _require_cap(comb(total, size), cap, "family search space")
-        if size == 0:
-            continue
-        if most is None:
-            most = total if r_colorable is None else _colorable_most(n, k, r_colorable)
-        if r_colorable is not None:
-            walk = _partition_count(n, min(r_colorable, n)) * comb(most, size)
+        if size:
+            most = _colorable_most(n, k, r)
+            walk = _partition_count(n, min(r, n)) * comb(most, size)
             _require_cap(walk, cap, "coloring search space")
-        if size > most:
-            raise ValueError("no qualifying family exists at this size")
-        if cap is None or 2 * size >= total:
-            if sizes[-1] > most:
-                raise ValueError(
-                    "no qualifying family exists at this size"
-                    if most < total
-                    else f"size must lie in 0..{total}"
-                )
-            return
+            if size > most:
+                raise ValueError("no qualifying family exists at this size")
+            if cap is None or 2 * size >= total:
+                size = most  # only size > most can fail from here on
+        size += 1
 
 
 def _colorable_most(n: int, k: int, r_colorable: int) -> int:
@@ -861,8 +856,10 @@ def brute_force_min_shadow(
 ) -> int:
     """Exact minimum p-shadow size over size-element families of k-subsets of [n].
 
-    With r_colorable set, the minimum runs over families admitting a
-    partition of [n] into r parts that every member meets at most once.
+    The minimum runs over families admitting a partition of [n] into
+    r = r_colorable parts that every member meets at most once; no
+    r_colorable means r = n, one part per element, so every family
+    qualifies and the one pool is every k-set.
     Relabeling [n] keeps a family's size and its p-shadow's size, and
     every such partition is a relabeling of the one into consecutive
     runs with the same sorted part sizes.  Splitting a part only adds
@@ -875,13 +872,11 @@ def brute_force_min_shadow(
     if size == 0:
         return 0
     all_sets = list(combinations(range(n), k))
-    pools = [all_sets]
-    if r_colorable is not None:
-        colorings = (
-            [part for part, part_size in enumerate(sizes) for _ in range(part_size)]
-            for sizes in _partitions(n, min(r_colorable, n))
-        )
-        pools = [[s for s in all_sets if len({color[v] for v in s}) == k] for color in colorings]
+    colorings = (
+        [part for part, part_size in enumerate(sizes) for _ in range(part_size)]
+        for sizes in _partitions(n, n if r_colorable is None else min(r_colorable, n))
+    )
+    pools = [[s for s in all_sets if len({color[v] for v in s}) == k] for color in colorings]
     return min(
         len({sub for s in family for sub in combinations(s, p)})
         for pool in pools

@@ -488,6 +488,21 @@ class TestVerifySubcommands:
         )
         assert code == 0
 
+    @pytest.mark.parametrize(
+        "r, label",
+        # the plain rows: the colex bound read as the colouring with n colours
+        [((), "kruskal-katona"), (("--r", "9"), "ffk")],
+    )
+    def test_shadows_bytes(self, capsys, r, label):
+        code, out, err = run(
+            capsys, "verify", "shadows", "--n", "6", "--k", "3", "--p", "2", "--size-max", "6", *r
+        )
+        assert (code, err) == (0, "")
+        shadows = (0, 3, 5, 6, 6, 8, 9)
+        assert out == "".join(
+            f"size={size} brute={m} closed={m} ok\n" for size, m in enumerate(shadows)
+        ) + f"{label} n=6 k=3 p=2 size<=6: ok\n"
+
     def test_closed_form_builds_each_graph_once(self, capsys, monkeypatch):
         # one CT_r(t_r(n)) per row; the sha256 pins the bytes of the 213 rows
         builds = []

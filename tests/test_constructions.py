@@ -68,8 +68,9 @@ class TestTuran:
         assert turan_graph(1, 5).edge_count == 0
 
     def test_matches_pair_definition(self):
-        for r in range(1, 8):
-            for n in range(41):
+        # r = n and r = n + 3 are complete graphs, as complete_graph builds them
+        for n in range(41):
+            for r in {*range(1, 8), max(n, 1), n + 3}:
                 pairs = [
                     (u, v) for v in range(1, n + 1) for u in range(1, v) if (v - u) % r
                 ]
@@ -229,6 +230,19 @@ class TestCriticalEdgeGadget:
     def test_edge_totals(self):
         for m in range(1, 40):
             assert critical_edge_gadget(3, m).edge_count == m
+
+    def test_matches_pair_definition(self):
+        # T_r(n - 1) on 1..n-1 plus the apex n joined to 1..attach_count
+        for r in range(2, 8):
+            for m in range(1, 301):
+                p = critical_edge_gadget_params(r, m)
+                n = p.host_order
+                pairs = [
+                    (u, v) for v in range(1, n) for u in range(1, v) if (v - u) % r
+                ] + [(u, n) for u in range(1, p.attach_count + 1)]
+                g = critical_edge_gadget(r, m)
+                assert g == graph_from_edges(pairs, explicit_vertex_count=n), (r, m)
+                assert Graph(n, g.adjacency) == g
 
     def test_impossible_attachment(self):
         with pytest.raises(ValueError):

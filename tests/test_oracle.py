@@ -757,6 +757,33 @@ class TestBruteForceMinShadow:
                             checked += 1
         assert checked == 361
 
+    def test_plain_is_the_colouring_with_a_part_per_element(self):
+        # r_colorable >= n allows n singleton parts, so every family
+        # qualifies: the same value, or the same error, as no r_colorable.
+        # Where the full search would walk more than 10,000 families the
+        # uncapped calls are skipped (only n = 6, k = 3 reaches that).
+        def outcome(*args, **kwargs):
+            try:
+                return brute_force_min_shadow(*args, **kwargs)
+            except (ValueError, CapExceededError) as exc:
+                return type(exc), str(exc)
+
+        checked = 0
+        for n in range(1, 7):
+            for k in range(n + 2):
+                total = comb(n, k)
+                for p in range(k + 1):
+                    for size in range(total + 2):
+                        for caps in ({"cap": None}, {"cap": 30}, {}):
+                            if caps != {"cap": 30} and comb(total, size) > 10_000:
+                                continue
+                            want = outcome(n, k, size, p, **caps)
+                            for r in (n, n + 1, 2 * n):
+                                got = outcome(n, k, size, p, r, **caps)
+                                assert got == want, (n, k, p, size, r)
+                                checked += 1
+        assert checked == 5847
+
     def test_partitions_are_the_sized_multisets(self):
         # the reference: every nondecreasing tuple of parts, kept when its
         # sum is n
