@@ -429,9 +429,12 @@ def _cmd_process_run(args: argparse.Namespace) -> int:
         "vertex": (processes.default_vertex_config, processes.vertex_deletion_process),
     }[args.procedure]
     g = _load_graph(args.input)
-    config = default_config(g, args.s, args.r, args.epsilon)
     flags = {"coefficient": args.coefficient, "exponent": args.exponent, "edge_budget": args.budget}
-    config = dataclasses.replace(config, **{k: v for k, v in flags.items() if v is not None})
+    if None in flags.values():
+        config = default_config(g, args.s, args.r, args.epsilon)
+        config = dataclasses.replace(config, **{k: v for k, v in flags.items() if v is not None})
+    else:  # every default replaced, so only ProcessConfig's own checks apply
+        config = processes.ProcessConfig(args.procedure, args.s, args.r, args.epsilon, **flags)
     _trace_to_lines(run(g, config))
     return EXIT_OK
 

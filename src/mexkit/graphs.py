@@ -23,10 +23,10 @@ joined or not at all and a clique meets a class at most once, so the
 t-cliques of g are those of the class graph, each counted as the product
 of its class sizes.  The class graph is the subgraph induced on the
 first vertex of each class, so _count_weighted walks it with the same
-successor masks.  T_r(n) has r classes and CT_r(m) at most 2r.  Graph
-builds the classes only when they at least halve the non-isolated
-vertices, and count_cliques asks for them only on _TWIN_MIN_VERTICES
-vertices or more; every other count runs on the vertices themselves.
+successor masks.  T_r(n) has r classes and CT_r(m) at most 2r.
+count_cliques builds the classes in one pass, only on _TWIN_MIN_VERTICES
+vertices or more, and uses them only when they at least halve the
+non-isolated vertices; every other count runs on the vertices themselves.
 """
 
 from __future__ import annotations
@@ -142,26 +142,6 @@ class Graph:
         any orientation, so no vertex order would save it work.
         """
         return tuple(_label_successors(self.adjacency))
-
-    @cached_property
-    def _twin_classes(self) -> tuple[int, list[int], int] | None:
-        """(first vertices, class sizes by first vertex, first vertices of classes above 1).
-
-        None unless there are at most half as many classes as non-isolated
-        vertices.
-        """
-        adj = self.adjacency
-        classes = [*set(adj) - {0}]
-        if 2 * len(classes) > len(adj) - adj.count(0):
-            return None
-        sizes = [0] * len(adj)
-        firsts = big = 0
-        for a in classes:
-            v = adj.index(a)
-            sizes[v] = adj.count(a)
-            firsts |= 1 << v
-            big |= (sizes[v] > 1) << v
-        return firsts, sizes, big
 
 
 @dataclass(frozen=True)
@@ -292,15 +272,35 @@ def _count_weighted(succ: Sequence[int], sizes: Sequence[int], big: int, cand: i
     return total
 
 
+def _twin_classes(adj: Sequence[int]) -> tuple[int, list[int], int] | None:
+    """(first vertices, class sizes by first vertex, first vertices of classes above 1).
+
+    None unless there are at most half as many classes as non-isolated vertices.
+    """
+    first: dict[int, int] = {}  # a mask's first vertex
+    sizes = [0] * len(adj)
+    for v, a in enumerate(adj):
+        if a:
+            sizes[first.setdefault(a, v)] += 1
+    if 2 * len(first) > sum(sizes):
+        return None
+    firsts = big = 0
+    for v in first.values():
+        firsts |= 1 << v
+        big |= (sizes[v] > 1) << v
+    return firsts, sizes, big
+
+
 def count_cliques(g: Graph, t: int) -> int:
     """Exact number of t-vertex cliques in g, counted as vertex subsets.
 
-    For t >= 2 on _TWIN_MIN_VERTICES or more vertices it counts on the
-    false-twin classes when Graph has them (module docstring).
+    For t >= 2 on _TWIN_MIN_VERTICES or more vertices it builds the
+    false-twin classes in one pass and counts on them when they at least
+    halve the non-isolated vertices (module docstring).
     """
     if t < 1:
         raise ValueError("clique order must be at least 1")
-    twins = g._twin_classes if t > 1 and g.vertex_count >= _TWIN_MIN_VERTICES else None
+    twins = _twin_classes(g.adjacency) if t > 1 and g.vertex_count >= _TWIN_MIN_VERTICES else None
     if twins is None:
         return _count_within(g._successors, _vertex_mask(g.vertex_count), t)
     firsts, sizes, big = twins

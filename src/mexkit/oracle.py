@@ -808,26 +808,15 @@ def _colorable_most(n: int, k: int, r_colorable: int) -> int:
     return _e_balanced(k, r, n)
 
 
-def _partitions(n: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """The partitions of n into exactly `parts` positive parts, nondecreasing, in lexicographic order."""
-    if not 1 <= parts <= n:
+def _partitions(n: int, parts: int, least: int = 1) -> Iterator[tuple[int, ...]]:
+    """The partitions of n into `parts` nondecreasing parts of at least `least`, in lexicographic order."""
+    if parts == 1:
+        if n >= least:
+            yield (n,)
         return
-    a = [1] * (parts - 1) + [n - parts + 1]
-    while True:
-        yield tuple(a)
-        # raise the last part that can grow, even out those after it, and
-        # give the rest to the last part
-        tail = a[-1]
-        for i in range(parts - 2, -1, -1):
-            tail += a[i]  # the sum of a[i:]
-            v = a[i] + 1
-            last = tail - v * (parts - 1 - i)
-            if last >= v:
-                a[i:-1] = [v] * (parts - 1 - i)
-                a[-1] = last
-                break
-        else:
-            return
+    for first in range(least, n // parts + 1):
+        for rest in _partitions(n - first, parts - 1, first):
+            yield (first, *rest)
 
 
 def _partition_count(n: int, parts: int) -> int:

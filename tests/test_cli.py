@@ -763,6 +763,37 @@ class TestProcess:
             '{"kind":"summary","steps":4,"final_edges":0,"budget_exhausted":false}\n'
         )
 
+    @pytest.mark.parametrize(
+        "flags, config",
+        [
+            ("--epsilon 0.6 --coefficient 2 --exponent 0.5 --budget 8",
+             ("vertex", 3, 3, 0.6, 2.0, 0.5, 8)),
+            ("--epsilon 0.2 --coefficient 2 --exponent 0 --budget 2",
+             ("edge", 2, 3, 0.2, 2.0, 0.0, 2)),
+        ],
+        ids=["vertex-epsilon-past-default", "edge-s-below-default"],
+    )
+    def test_all_flags_skip_the_defaults(self, capsys, tmp_path, flags, config):
+        # with every default replaced, a config that only the defaults reject
+        # runs as the API runs it
+        from mexkit import processes
+        from mexkit.constructions import turan_graph
+
+        g = turan_graph(3, 9)
+        path = tmp_path / "t39.edges"
+        path.write_text(format_edge_list(g))
+        mode, s, r = config[:3]
+        got = run(
+            capsys, "process", mode, "--input", str(path), "--s", str(s), "--r", str(r),
+            *flags.split(),
+        )
+        config = processes.ProcessConfig(*config)
+        process = getattr(processes, f"{mode}_deletion_process")
+        cli._trace_to_lines(process(g, config))
+        assert got == (0, capsys.readouterr().out, "")
+        # one vertex step and its summary; two edge steps and theirs
+        assert got[1].count("\n") == {"vertex": 2, "edge": 3}[mode]
+
     def test_stability_report(self, capsys, tmp_path):
         path = tmp_path / "ct.edges"
         from mexkit.constructions import colex_turan_graph

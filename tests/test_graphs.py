@@ -4,7 +4,8 @@ from math import comb
 
 import pytest
 
-from mexkit.constructions import colex_turan_graph, complete_graph, turan_graph
+from mexkit import graphs
+from mexkit.constructions import blowup, colex_turan_graph, complete_graph, turan_graph
 from mexkit.graphs import (
     Graph,
     clique_profile,
@@ -171,14 +172,14 @@ class TestCliqueProfile:
         # the counts the unit kernel gives on all 70 vertices
         g = colex_turan_graph(6, 2000)
         assert clique_profile(g).counts == (70, 2000, 30498, 262143, 1202904, 2300400)
-        assert g._twin_classes[0].bit_count() == 12
+        assert graphs._twin_classes(g.adjacency)[0].bit_count() == 12
 
     def test_extremal_graphs_have_few_twin_classes(self):
         # T_r(n) collapses to K_r, and CT_r(m) to at most 2r classes
         from mexkit.graphs import _bits, _count_within
 
         g = turan_graph(5, 20)
-        firsts, sizes, big = g._twin_classes
+        firsts, sizes, big = graphs._twin_classes(g.adjacency)
         assert [sizes[v] for v in _bits(firsts)] == [4] * 5 and big == firsts
         assert _count_within(g._successors, firsts, 5) == 1
         for r in range(2, 8):
@@ -375,7 +376,7 @@ class TestInvariants:
         for _ in range(200):
             n = rng.randint(1, 14)
             g, split = _planted_twins(rng, n)
-            has_quotient = g._twin_classes is not None
+            has_quotient = graphs._twin_classes(g.adjacency) is not None
             profile = []
             for t in range(1, 7):
                 expected = naive_count_cliques(g, t)
@@ -398,9 +399,41 @@ class TestInvariants:
                 edges = [(u, v) for v in range(2, a + 1) for u in range(1, v)]
                 edges += [(u, a + w) for u in range(1, a + 1) for w in range(1, b + 1)]
                 g = graph_from_edges(edges)
-                assert (g._twin_classes is not None) == (b == a + 2), (a, b)
+                assert (graphs._twin_classes(g.adjacency) is not None) == (b == a + 2), (a, b)
                 for t in range(2, 6):
                     assert count_cliques(g, t) == comb(a, t) + b * comb(a, t - 1), (a, b, t)
+
+    def test_twin_classes_match_their_definition(self):
+        # the non-isolated vertices grouped by mask, each group filed under its
+        # least vertex, and None when the groups do not halve those vertices;
+        # the blowups, up to 6,000 vertices, pass the rule and must count as
+        # the unit kernel does on the whole vertex set
+        rng = random.Random(408)
+        path = graph_from_edges([(v, v + 1) for v in range(1, 2000)])
+        inputs = [_planted_twins(rng, rng.randint(1, 14))[0] for _ in range(200)]
+        blowups = [blowup(h, t) for h in (path, colex_turan_graph(3, 100)) for t in (2, 3)]
+        seen = dict.fromkeys(["quotient", "none"], 0)
+        for g in inputs + blowups:
+            groups = {}
+            for v in g.vertices():
+                if g.adjacency[v]:
+                    groups.setdefault(g.adjacency[v], []).append(v)
+            want = None
+            if 2 * len(groups) <= sum(len(members) for members in groups.values()):
+                firsts, big, sizes = 0, 0, [0] * (g.vertex_count + 1)
+                for least, *rest in groups.values():
+                    firsts |= 1 << least
+                    big |= bool(rest) << least
+                    sizes[least] = 1 + len(rest)
+                want = (firsts, sizes, big)
+            assert graphs._twin_classes(g.adjacency) == want, g.vertex_count
+            seen["none" if want is None else "quotient"] += 1
+        assert min(seen.values()) >= 10, seen
+        for g in blowups:
+            assert graphs._twin_classes(g.adjacency) is not None
+            everything = graphs._vertex_mask(g.vertex_count)
+            for t in (2, 3, 4):
+                assert count_cliques(g, t) == graphs._count_within(g._successors, everything, t)
 
     def test_subgraph_matches_clique_count(self):
         for g in named_small_graphs():
