@@ -18,7 +18,6 @@ them deliberately.
 from __future__ import annotations
 
 import time
-from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
@@ -65,6 +64,7 @@ DEFAULT_PARTITION_CAP = 16
 DEFAULT_WITNESS_LIMIT = 16
 DEFAULT_BLOWUP_CAP = 30
 _BLOWUP_T_CAP = 3
+_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")  # a bitstring's digits as bytes 0 and 1
 
 
 class CapExceededError(RuntimeError):
@@ -140,10 +140,12 @@ def _refine(adjacency: Sequence[int], cells: list[int], splitters: list[int]) ->
     respect to every cell not covered by the splitters.  Splits and their
     order depend on counts alone, never on labels.
     """
-    queue = deque(splitters)
+    queue = list(splitters)
+    head = 0
     n = sum(cells).bit_count()
-    while queue and len(cells) < n:
-        w = queue.popleft()
+    while head < len(queue) and len(cells) < n:
+        w = queue[head]
+        head += 1
         out = []
         if w & w - 1 == 0:
             nb = adjacency[w.bit_length() - 1]
@@ -157,18 +159,24 @@ def _refine(adjacency: Sequence[int], cells: list[int], splitters: list[int]) ->
                     out.append(cell)
         else:
             nb = 0
-            for x in _bits(w):
-                nb |= adjacency[x]
+            rest = w
+            while rest:
+                low = rest & -rest
+                nb |= adjacency[low.bit_length() - 1]
+                rest ^= low
             for cell in cells:
                 if cell & nb and cell & cell - 1:
                     groups: dict[int, int] = {}
-                    for v in _bits(cell):
-                        k = (adjacency[v] & w).bit_count()
-                        groups[k] = groups.get(k, 0) | 1 << v
+                    rest = cell
+                    while rest:
+                        low = rest & -rest
+                        k = (adjacency[low.bit_length() - 1] & w).bit_count()
+                        groups[k] = groups.get(k, 0) | low
+                        rest ^= low
                     if len(groups) > 1:
                         subs = [groups[k] for k in sorted(groups)]
                         big = max(subs, key=int.bit_count)
-                        queue.extend(sub for sub in subs if sub != big)
+                        queue += [sub for sub in subs if sub != big]
                         out += subs
                         continue
                 out.append(cell)
@@ -183,8 +191,8 @@ def _component_bits(
 
     comp is the component's vertex mask, as _components gives it.  The
     search tree starts from the equitable refinement of the unit partition
-    [comp].  A node branches on its first smallest non-singleton cell,
-    individualizing each of the cell's vertices in turn and refining
+    [comp], split first by degree.  A node branches on its first smallest
+    non-singleton cell, individualizing each of the cell's vertices in turn and refining
     again from that one vertex (one AND per cell); only one vertex per
     class of twins is tried (u and w with N(u)-{w} = N(w)-{u}: swapping
     them is an automorphism fixing the node, so their subtrees hold the
@@ -210,7 +218,7 @@ def _component_bits(
     c = comp.bit_count()
     if c == 1:
         return (), ()
-    edges = [(u, v) for v in _bits(comp) for u in _bits(adjacency[v] & (1 << v) - 1)]
+    tri = [j * (j - 1) // 2 for j in range(c)]  # the first pair index of position j
     pos = [0] * len(adjacency)
     best = -1
     best_order: list[int] = []
@@ -221,33 +229,50 @@ def _component_bits(
         nonlocal best, best_order
         if len(cells) == c:
             order = [cell.bit_length() - 1 for cell in cells]
-            for i, v in enumerate(order):
-                pos[v] = i
-            code = 0
-            for u, v in edges:
-                i, j = pos[u], pos[v]
-                code |= 1 << (j * (j - 1) // 2 + i if i < j else i * (i - 1) // 2 + j)
+            code = before = 0  # position j's pairs with its neighbours in before
+            for j, v in enumerate(order):
+                pos[v] = j
+                rest = adjacency[v] & before
+                before |= 1 << v
+                while rest:
+                    low = rest & -rest
+                    code |= 1 << tri[j] + pos[low.bit_length() - 1]
+                    rest ^= low
             if best < 0 or code < best:
                 best, best_order = code, order
             elif code == best:
                 maps.append((best_order, order))
             return
-        k = min((cell.bit_count(), i) for i, cell in enumerate(cells) if cell & cell - 1)[1]
+        k, size = 0, c + 1
+        for i, cell in enumerate(cells):
+            if cell & cell - 1 and cell.bit_count() < size:
+                k, size = i, cell.bit_count()
         cell = cells[k]
         tried: list[int] = []
-        for v in _bits(cell):
-            twin = next(
-                (u for u in tried if (adjacency[u] ^ adjacency[v]) & ~(1 << u | 1 << v) == 0),
-                None,
-            )
-            if twin is not None:
-                maps.append(([twin, v], [v, twin]))
-                continue
-            tried.append(v)
-            split = [*cells[:k], 1 << v, cell ^ 1 << v, *cells[k + 1 :]]
-            search(_refine(adjacency, split, [1 << v]))
+        rest = cell
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            v = low.bit_length() - 1
+            for u in tried:
+                if (adjacency[u] ^ adjacency[v]) & ~(1 << u | low) == 0:
+                    maps.append(([u, v], [v, u]))
+                    break
+            else:
+                tried.append(v)
+                search(_refine(adjacency, [*cells[:k], low, cell ^ low, *cells[k + 1 :]], [low]))
 
-    search(_refine(adjacency, [comp], [comp]))
+    # [comp] split by degree, as _refine(adjacency, [comp], [comp]) splits it
+    groups: dict[int, int] = {}
+    rest = comp
+    while rest:
+        low = rest & -rest
+        d = adjacency[low.bit_length() - 1].bit_count()
+        groups[d] = groups.get(d, 0) | low
+        rest ^= low
+    cells = [groups[d] for d in sorted(groups)]
+    big = max(cells, key=int.bit_count)
+    search(_refine(adjacency, cells, [cell for cell in cells if cell != big]))
     for i, v in enumerate(best_order):
         pos[v] = i
     gens: dict[tuple[int, ...], None] = {}
@@ -256,7 +281,8 @@ def _component_bits(
         for u, w in zip(sources, images):
             p[pos[u]] = pos[w]
         gens[tuple(p)] = None
-    return tuple(best >> i & 1 for i in range(c * (c - 1) // 2)), tuple(gens)
+    bits = f"{best:0{c * (c - 1) // 2}b}"[::-1]  # bit i of best at i
+    return tuple(bits.encode().translate(_BIT_BYTES)), tuple(gens)
 
 
 def canonical_form(g: Graph) -> tuple:
@@ -428,11 +454,15 @@ def _connected_upto(m: int) -> list[dict[tuple, Graph]]:
     Level j grows from level j-1 through _levels.  The moves of a parent
     on n vertices are its non-edges uv, u < v <= n+1, as masks 1<<u | 1<<v
     in colex order; v = n+1 adds a pendant edge to the fresh vertex.  The
-    rule keeps the child when uv is a deletable edge of least key
-    (_least_deletable).  This is exact: every connected graph with at
-    least 1 edge has a deletable edge of least key, and deleting it (with
-    its leaf, if pendant) leaves a connected class of level j-1, to which
-    adding the edge back is one of the moves.
+    rule keeps the child when no deletable edge (pendant, or not a bridge)
+    has a smaller key, the sorted pair of its endpoint degrees; ties are
+    kept.  This is exact: every connected graph with at least 1 edge has a
+    deletable edge of least key, and deleting it (with its leaf, if
+    pendant) leaves a connected class of level j-1, to which adding the
+    edge back is one of the moves.  The rule is taken once per parent, a
+    move adding 1 to the degrees at u and v: a smaller-key pendant edge
+    rejects it before the child is built, and only smaller-key edges that
+    are not pendant are bridge-tested.
     """
 
     def expand(h: Graph) -> tuple[list[int], Callable[[int], list[int] | None]]:
@@ -443,33 +473,33 @@ def _connected_upto(m: int) -> list[dict[tuple, Graph]]:
             for u in range(1, v)
             if not h.adjacency[u] >> v & 1
         ]
+        deg = [a.bit_count() for a in h.adjacency] + [0]
+        edges = [(a, b, deg[a], deg[b]) for a, b in _colex_edges(h.adjacency)]
+        w = n + 2  # a key (lo, hi) is the int lo * w + hi
 
         def child(move: int) -> list[int] | None:
             u, v = (move & -move).bit_length() - 1, move.bit_length() - 1
+            du, dv = deg[u] + 1, deg[v] + 1
+            key = du * w + dv if du <= dv else dv * w + du
+            doubtful = []  # the smaller-key edges that are not pendant
+            for a, b, da, db in edges:
+                if a == u or a == v:
+                    da += 1
+                if b == u or b == v:
+                    db += 1
+                lo, hi = (da, db) if da <= db else (db, da)
+                if lo * w + hi < key:
+                    if lo == 1:
+                        return None
+                    doubtful.append((a, b))
             adj = [*h.adjacency, 0] if v > n else list(h.adjacency)
             adj[u] |= 1 << v
             adj[v] |= 1 << u
-            return adj if _least_deletable(adj, u, v) else None
+            return adj if all(_is_bridge(adj, a, b) for a, b in doubtful) else None
 
         return moves, child
 
     return _levels(("edge", None), {(1, ((1, ()),)): Graph(1, (0, 0))}, m, expand)
-
-
-def _least_deletable(adj: Sequence[int], u: int, v: int) -> bool:
-    """True iff no deletable edge of the connected graph adj has a smaller key than uv.
-
-    An edge is deletable when it is pendant or not a bridge, so deleting
-    it (with its leaf, if pendant) leaves the graph connected.  Its key is
-    the sorted pair of its endpoint degrees; ties are kept.
-    """
-    deg = [a.bit_count() for a in adj]
-    key = (deg[u], deg[v]) if deg[u] <= deg[v] else (deg[v], deg[u])
-    for a, b in _colex_edges(adj):
-        k = (deg[a], deg[b]) if deg[a] <= deg[b] else (deg[b], deg[a])
-        if k < key and (k[0] == 1 or not _is_bridge(adj, a, b)):
-            return False
-    return True
 
 
 def _is_bridge(adj: Sequence[int], a: int, b: int) -> bool:

@@ -19,8 +19,9 @@ one the cliques it lost, which lie inside the common neighbourhood of the
 deleted edge's ends (at s = 3 one triangle each, no count at all), keeping
 the least value in a lazy heap.  Edges and heap entries are packed ints:
 u < v is v << b | u, an entry value << 2b | (v << b | u), so int order is
-(value, v, u) order, the colex tie-break.  The vertex process scans the
-live vertices' degrees, O(n) popcounts a step.
+(value, v, u) order, the colex tie-break.  The vertex process keeps its
+degrees in a lazy heap of ints degree << b | v the same way, one push
+per neighbour of a deleted vertex.
 """
 
 from __future__ import annotations
@@ -281,17 +282,36 @@ def _edge_items(adj: list[int], s: int) -> tuple[Callable, Callable]:
 
 
 def _vertex_items(adj: list[int]) -> tuple[Callable, Callable]:
-    """The vertex mode's least() -> (degree, v) and delete(v) over the live vertices of adj."""
-    live = set(range(1, len(adj)))
+    """The vertex mode's least() -> (degree, v) and delete(v) over the live vertices of adj.
+
+    A lazy min-heap holds ints degree << b | v (b bits hold any label), so
+    int order is (degree, v) order, the smallest-label tie-break.  A
+    degree only falls: deleting v pushes each neighbour's new degree, and
+    an entry whose vertex is gone or whose degree no longer matches is
+    stale and is popped when it reaches the top.  The partial trim ends
+    the run, so it pushes nothing.
+    """
+    b = len(adj).bit_length()
+    label = (1 << b) - 1
+    live = [False] + [True] * (len(adj) - 1)
+    heap = [a.bit_count() << b | v for v, a in enumerate(adj) if v]
+    heapify(heap)
 
     def least() -> tuple[int, int] | None:
-        return min(((adj[v].bit_count(), v) for v in live), default=None)
+        while heap:
+            top = heap[0]
+            d, v = top >> b, top & label
+            if live[v] and adj[v].bit_count() == d:
+                return d, v
+            heappop(heap)
+        return None
 
     def delete(v: int) -> None:
         for u in _bits(adj[v]):
             adj[u] &= ~(1 << v)
+            heappush(heap, adj[u].bit_count() << b | u)
         adj[v] = 0
-        live.remove(v)
+        live[v] = False
 
     return least, delete
 

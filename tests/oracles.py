@@ -5,11 +5,12 @@ enumeration machinery: clique counts run over raw vertex subsets,
 isomorphism is a permutation backtracking search, the graph enumerator
 walks colex-sorted first-use-labeled edge lists (and the mex search
 scans what it lists), equitable refinement recounts neighbours between
-vertex sets until nothing splits, the ex search scans every labeled
-graph, partition edits scan every part assignment, the edge deletion
-process recounts every edge at every step, and the vertex deletion
-process recounts the edges of its neighbour sets at every step.  Slow on
-purpose; used at desk scale only.
+vertex sets until nothing splits, the edge builder's deletion rule
+rekeys every edge of the child and bridge-tests by search, the ex
+search scans every labeled graph, partition edits scan every part
+assignment, the edge deletion process recounts every edge at every
+step, and the vertex deletion process recounts the edges of its
+neighbour sets at every step.  Slow on purpose; used at desk scale only.
 """
 
 from __future__ import annotations
@@ -230,6 +231,41 @@ def naive_equitable_partition(g: Graph, cells) -> set[frozenset[int]]:
                 break
         else:
             return set(parts)
+
+
+def naive_least_deletable(adj, u: int, v: int) -> bool:
+    """True iff no deletable edge of the connected graph adj has a smaller key than uv.
+
+    An edge is deletable when it is pendant or not a bridge, so deleting
+    it (with its leaf, if pendant) leaves the graph connected.  Its key is
+    the sorted pair of its endpoint degrees; ties are kept.  Every edge of
+    the child is rekeyed from its degrees, and every non-pendant one below
+    uv's key is tested for a bridge by a search.
+    """
+    deg = [a.bit_count() for a in adj]
+    key = (deg[u], deg[v]) if deg[u] <= deg[v] else (deg[v], deg[u])
+    for a, b in _colex_edges(adj):
+        k = (deg[a], deg[b]) if deg[a] <= deg[b] else (deg[b], deg[a])
+        if k < key and (k[0] == 1 or not _is_bridge(adj, a, b)):
+            return False
+    return True
+
+
+def _colex_edges(adj):
+    """Edges (a, b) with a < b of a padded adjacency sequence, in colex order."""
+    return [(a, b) for b in range(len(adj)) for a in range(1, b) if adj[a] >> b & 1]
+
+
+def _is_bridge(adj, a: int, b: int) -> bool:
+    """True iff b cannot be reached from a without the edge ab, by depth-first search."""
+    seen, stack = {a}, [a]
+    while stack:
+        x = stack.pop()
+        for y in range(1, len(adj)):
+            if adj[x] >> y & 1 and {x, y} != {a, b} and y not in seen:
+                seen.add(y)
+                stack.append(y)
+    return b not in seen
 
 
 def _pair_colex_key(e: tuple[int, int]) -> tuple[int, int]:

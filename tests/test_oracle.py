@@ -39,6 +39,7 @@ from oracles import (
     naive_brute_force_ex,
     naive_brute_force_mex,
     naive_equitable_partition,
+    naive_least_deletable,
     naive_min_edits,
     naive_nonisomorphic_graphs,
     naive_r_colorable,
@@ -194,12 +195,48 @@ class TestEnumeration:
             if g.edge_count < 2 or not _connected(list(g.edges())):
                 continue
             assert any(
-                deletable(g, *e) and oracle._least_deletable(g.adjacency, *e)
+                deletable(g, *e) and naive_least_deletable(g.adjacency, *e)
                 for e in g.edges()
             ), g
         # ties are kept: every edge of an edge-transitive graph qualifies
         for g in (C5, complete_graph(4), K13, turan_graph(2, 6)):
-            assert all(oracle._least_deletable(g.adjacency, *e) for e in g.edges())
+            assert all(naive_least_deletable(g.adjacency, *e) for e in g.edges())
+
+    def test_deletion_rule_matches_the_naive_rule(self, monkeypatch):
+        # every move of every class on levels 0..8, of the hard graphs, and of
+        # the dumbbell above and its connected one-edge deletions: child(move)
+        # keeps a move exactly when the rule holds on the child, and returns it
+        expands = []
+        levels_of = oracle._levels
+
+        def capture(key, seed, upto, expand):
+            expands.append(expand)
+            return levels_of(key, seed, upto, expand)
+
+        monkeypatch.setattr(oracle, "_levels", capture)
+        levels = oracle._connected_upto(8)
+        (expand,) = expands
+        diamond = [(1, 2), (1, 3), (2, 3), (2, 4), (3, 4)]
+        dumbbell = diamond + [(u + 6, v + 6) for u, v in diamond] + [(4, 5), (5, 6), (6, 7)]
+        cut = [[f for f in dumbbell if f != e] for e in dumbbell]
+        parents = [g for level in levels for g in level.values()] + labeling_hard_graphs()
+        parents += [graph_from_edges(edges, 10) for edges in [dumbbell, *cut] if _connected(edges)]
+        outcomes = set()
+        for h in parents:
+            n = h.vertex_count
+            moves, child = expand(h)
+            for move in moves:
+                u, v = (move & -move).bit_length() - 1, move.bit_length() - 1
+                adj = [*h.adjacency, 0] if v > n else list(h.adjacency)
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+                kept = naive_least_deletable(adj, u, v)
+                assert child(move) == (adj if kept else None), (h, u, v)
+                outcomes.add(kept)
+        assert outcomes == {False, True}
+        # (5, 6) alone has a smaller key than (1, 2) in the dumbbell, and it is a bridge
+        h = graph_from_edges(cut[0], 10)
+        assert expand(h)[1](0b110) == list(graph_from_edges(dumbbell).adjacency)
 
     def test_cap_and_validation(self):
         with pytest.raises(CapExceededError):
@@ -418,6 +455,27 @@ class TestLevelDigests:
     )
     def test_free_levels(self, k, digest):
         assert _level_digest(lambda: oracle._free_upto(7, complete_graph(k))) == digest
+
+
+def test_component_bits_digest():
+    # the labeling kernel outside the levels, which reach only 9-10
+    # vertices: every component of seeded graphs on 2-12 vertices and of
+    # the hard graphs, each also under three shuffles.  Recorded before the
+    # root refinement split by degree and the loops lost their generators;
+    # a change to a form or to a generator list, or to its order, changes it
+    rng = random.Random(30)
+    graphs = []
+    for _ in range(300):
+        n = rng.randint(2, 12)
+        p = rng.uniform(0.2, 0.8)
+        pairs = [e for e in combinations(range(1, n + 1), 2) if rng.random() < p]
+        graphs.append(graph_from_edges(pairs, explicit_vertex_count=n))
+    digest = hashlib.sha256()
+    for g in graphs + labeling_hard_graphs():
+        for h in (g, *(_shuffled(g, rng) for _ in range(3))):
+            for comp in oracle._components(h.adjacency):
+                digest.update(repr(oracle._component_bits(h.adjacency, comp)).encode())
+    assert digest.hexdigest() == "75215f9bdc00b8ef41781cb6eb5d1b9ce4daed8150df9fb82fe2dcdcb2e530c6"
 
 
 class TestBruteForceMex:
