@@ -64,7 +64,6 @@ DEFAULT_PARTITION_CAP = 16
 DEFAULT_WITNESS_LIMIT = 16
 DEFAULT_BLOWUP_CAP = 30
 _BLOWUP_T_CAP = 3
-_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")  # a bitstring's digits as bytes 0 and 1
 
 
 class CapExceededError(RuntimeError):
@@ -131,8 +130,7 @@ def _refine(adjacency: Sequence[int], cells: list[int], splitters: list[int]) ->
     first out: every cell splits by its vertices' neighbour counts into
     the splitter, sub-cells in increasing count order, and each sub-cell
     but the first largest becomes a splitter (stability with respect to
-    the parent and the other sub-cells implies it for that one).  Only
-    the cells that meet the splitter's neighbourhood are counted; a
+    the parent and the other sub-cells implies it for that one).  A
     one-vertex splitter x splits a cell in one AND with N(x), into
     (non-neighbours, neighbours), and queues the smaller, the neighbours
     on a tie.  A mask lists its vertices in ascending order, so every
@@ -158,14 +156,8 @@ def _refine(adjacency: Sequence[int], cells: list[int], splitters: list[int]) ->
                 else:
                     out.append(cell)
         else:
-            nb = 0
-            rest = w
-            while rest:
-                low = rest & -rest
-                nb |= adjacency[low.bit_length() - 1]
-                rest ^= low
             for cell in cells:
-                if cell & nb and cell & cell - 1:
+                if cell & cell - 1:
                     groups: dict[int, int] = {}
                     rest = cell
                     while rest:
@@ -191,8 +183,8 @@ def _component_bits(
 
     comp is the component's vertex mask, as _components gives it.  The
     search tree starts from the equitable refinement of the unit partition
-    [comp], split first by degree.  A node branches on its first smallest
-    non-singleton cell, individualizing each of the cell's vertices in turn and refining
+    [comp].  A node branches on its first smallest non-singleton cell,
+    individualizing each of the cell's vertices in turn and refining
     again from that one vertex (one AND per cell); only one vertex per
     class of twins is tried (u and w with N(u)-{w} = N(w)-{u}: swapping
     them is an automorphism fixing the node, so their subtrees hold the
@@ -262,17 +254,7 @@ def _component_bits(
                 tried.append(v)
                 search(_refine(adjacency, [*cells[:k], low, cell ^ low, *cells[k + 1 :]], [low]))
 
-    # [comp] split by degree, as _refine(adjacency, [comp], [comp]) splits it
-    groups: dict[int, int] = {}
-    rest = comp
-    while rest:
-        low = rest & -rest
-        d = adjacency[low.bit_length() - 1].bit_count()
-        groups[d] = groups.get(d, 0) | low
-        rest ^= low
-    cells = [groups[d] for d in sorted(groups)]
-    big = max(cells, key=int.bit_count)
-    search(_refine(adjacency, cells, [cell for cell in cells if cell != big]))
+    search(_refine(adjacency, [comp], [comp]))
     for i, v in enumerate(best_order):
         pos[v] = i
     gens: dict[tuple[int, ...], None] = {}
@@ -281,8 +263,7 @@ def _component_bits(
         for u, w in zip(sources, images):
             p[pos[u]] = pos[w]
         gens[tuple(p)] = None
-    bits = f"{best:0{c * (c - 1) // 2}b}"[::-1]  # bit i of best at i
-    return tuple(bits.encode().translate(_BIT_BYTES)), tuple(gens)
+    return tuple(best >> i & 1 for i in range(c * (c - 1) // 2)), tuple(gens)
 
 
 def canonical_form(g: Graph) -> tuple:
@@ -461,8 +442,8 @@ def _connected_upto(m: int) -> list[dict[tuple, Graph]]:
     pendant) leaves a connected class of level j-1, to which adding the
     edge back is one of the moves.  The rule is taken once per parent, a
     move adding 1 to the degrees at u and v: a smaller-key pendant edge
-    rejects it before the child is built, and only smaller-key edges that
-    are not pendant are bridge-tested.
+    rejects it before the child is built, and a smaller-key edge that is
+    not pendant rejects it when the child stays connected without it.
     """
 
     def expand(h: Graph) -> tuple[list[int], Callable[[int], list[int] | None]]:
@@ -475,46 +456,34 @@ def _connected_upto(m: int) -> list[dict[tuple, Graph]]:
         ]
         deg = [a.bit_count() for a in h.adjacency] + [0]
         edges = [(a, b, deg[a], deg[b]) for a, b in _colex_edges(h.adjacency)]
-        w = n + 2  # a key (lo, hi) is the int lo * w + hi
 
         def child(move: int) -> list[int] | None:
             u, v = (move & -move).bit_length() - 1, move.bit_length() - 1
             du, dv = deg[u] + 1, deg[v] + 1
-            key = du * w + dv if du <= dv else dv * w + du
+            key = (du, dv) if du <= dv else (dv, du)
             doubtful = []  # the smaller-key edges that are not pendant
             for a, b, da, db in edges:
-                if a == u or a == v:
-                    da += 1
-                if b == u or b == v:
-                    db += 1
-                lo, hi = (da, db) if da <= db else (db, da)
-                if lo * w + hi < key:
-                    if lo == 1:
+                da += move >> a & 1
+                db += move >> b & 1
+                k = (da, db) if da <= db else (db, da)
+                if k < key:
+                    if k[0] == 1:
                         return None
                     doubtful.append((a, b))
             adj = [*h.adjacency, 0] if v > n else list(h.adjacency)
             adj[u] |= 1 << v
             adj[v] |= 1 << u
-            return adj if all(_is_bridge(adj, a, b) for a, b in doubtful) else None
+            for a, b in doubtful:
+                cut = adj.copy()
+                cut[a] ^= 1 << b
+                cut[b] ^= 1 << a
+                if len(_components(cut)) == 1:  # ab is no bridge, so deletable
+                    return None
+            return adj
 
         return moves, child
 
     return _levels(("edge", None), {(1, ((1, ()),)): Graph(1, (0, 0))}, m, expand)
-
-
-def _is_bridge(adj: Sequence[int], a: int, b: int) -> bool:
-    """True iff b cannot be reached from a without the edge ab."""
-    reach = 1 << a
-    frontier = adj[a] ^ 1 << b
-    while frontier:
-        if frontier >> b & 1:
-            return False
-        reach |= frontier
-        nxt = 0
-        for w in _bits(frontier):
-            nxt |= adj[w]
-        frontier = nxt & ~reach
-    return True
 
 
 # (edge count, score) -> the connected classes scoring so, as (index, component

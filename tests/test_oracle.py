@@ -204,8 +204,10 @@ class TestEnumeration:
 
     def test_deletion_rule_matches_the_naive_rule(self, monkeypatch):
         # every move of every class on levels 0..8, of the hard graphs, and of
-        # the dumbbell above and its connected one-edge deletions: child(move)
-        # keeps a move exactly when the rule holds on the child, and returns it
+        # the dumbbell above and its connected one-edge deletions, each also
+        # under three shuffles so a bridge's far side may hold vertex 1:
+        # child(move) keeps a move exactly when the rule holds on the child,
+        # and returns it
         expands = []
         levels_of = oracle._levels
 
@@ -220,7 +222,9 @@ class TestEnumeration:
         dumbbell = diamond + [(u + 6, v + 6) for u, v in diamond] + [(4, 5), (5, 6), (6, 7)]
         cut = [[f for f in dumbbell if f != e] for e in dumbbell]
         parents = [g for level in levels for g in level.values()] + labeling_hard_graphs()
-        parents += [graph_from_edges(edges, 10) for edges in [dumbbell, *cut] if _connected(edges)]
+        bells = [graph_from_edges(edges, 10) for edges in [dumbbell, *cut] if _connected(edges)]
+        rng = random.Random(7)
+        parents += bells + [_shuffled(g, rng) for g in bells for _ in range(3)]
         outcomes = set()
         for h in parents:
             n = h.vertex_count

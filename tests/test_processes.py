@@ -478,84 +478,26 @@ class TestVertexProcessAgainstNaive:
         # vertex trimmed of no edge and of some
         assert {(False, None), (True, False), (True, True)} <= stops
 
-
-def _sparse_graph(rng, n, density, labels=None):
-    """A seeded graph on 1..n, its edges on the given labels (default all), some vertices isolated."""
-    labels = labels or range(1, n + 1)
-    return graph_from_edges([e for e in combinations(labels, 2) if rng.random() < density], n)
-
-
-class TestVertexProcessAgainstRescan:
-    """Traces equal those of the oracle, which rescans every live vertex's degree at every step."""
-
-    def _check(self, g, cfg):
-        trace = vertex_deletion_process(g, cfg)
-        naive = naive_vertex_deletion_process(g, cfg)
-        assert trace.steps == naive.steps
-        assert trace.final_graph == naive.final_graph
-        assert trace.budget_exhausted == naive.budget_exhausted
-        assert trace.partial_last_vertex == naive.partial_last_vertex
-        return trace
-
-    def test_budgets_stopping_mid_vertex(self):
-        # every vertex qualifies, so every budget stops the run: mostly
-        # inside a vertex, whose lowest edges are trimmed
-        rng = random.Random(41)
-        trims = set()
-        for _ in range(60):
-            g = _sparse_graph(rng, rng.randint(4, 14), rng.uniform(0.2, 0.9))
-            for budget in range(g.edge_count + 1):
-                cfg = ProcessConfig("vertex", 3, 3, 0.25, 1e9, 0.0, budget)
-                partial = self._check(g, cfg).partial_last_vertex
-                trims.add(partial and len(partial.removed_edges))
-        assert None in trims and 0 in trims and max(t or 0 for t in trims) >= 3
-
-    def test_negative_exponent_empties_the_graph(self):
-        # the threshold only rises as edges go, to +inf at no edge; from above
-        # the top degree at the start, a full budget deletes every vertex
-        rng = random.Random(42)
-        for _ in range(40):
-            n = rng.randint(1, 16)
-            g = _sparse_graph(rng, n, rng.uniform(0.1, 1.0))
-            top = max(map(g.degree, g.vertices()))
-            for exponent in (-0.5, -2.0):
-                coefficient = (top + 1) * max(g.edge_count, 1) ** -exponent
-                cfg = ProcessConfig("vertex", 3, 3, 0.25, coefficient, exponent, g.edge_count)
-                trace = self._check(g, cfg)
-                assert len(trace.steps) == n and trace.final_graph.edge_count == 0
-
-    def test_isolated_vertices(self):
-        # isolated vertices cost nothing and go first, budget 0 included, unless
-        # the threshold is 0 (no edge, exponent > 0); a deleted vertex of
-        # degree 0 must not be picked again
-        rng = random.Random(43)
-        for _ in range(40):
-            n = rng.randint(3, 16)
-            touched = sorted(rng.sample(range(1, n + 1), n // 2))
-            g = _sparse_graph(rng, n, rng.uniform(0.3, 1.0), touched)
-            for budget in (0, g.edge_count // 2, g.edge_count):
-                for exponent in (0.0, 0.5, -0.5):
-                    cfg = ProcessConfig("vertex", 3, 3, 0.25, 2.5, exponent, budget)
-                    trace = self._check(g, cfg)
-                    isolated = [v for v in g.vertices() if not g.degree(v)]
-                    if g.edge_count or exponent <= 0:
-                        assert [step.item for step in trace.steps[: len(isolated)]] == isolated
-
     def test_labels_past_six_bits(self):
-        # an entry is degree << b | v with b = len(adj).bit_length(): b = 6 at
-        # n = 62 and 7 from n = 63 on
+        # a heap entry is degree << b | v with b = len(adj).bit_length():
+        # b = 6 at n = 62 and 7 from n = 63 on
         rng = random.Random(44)
         wide = set()
         for n in (62, 63, 64, 100, 130):
             for _ in range(3):
-                g = _sparse_graph(rng, n, rng.uniform(0.03, 0.15))
-                configs = [
+                density = rng.uniform(0.03, 0.15)
+                pairs = combinations(range(1, n + 1), 2)
+                g = graph_from_edges([e for e in pairs if rng.random() < density], n)
+                m = g.edge_count
+                for cfg in (
                     default_vertex_config(g, 3, 3, 0.2),
-                    ProcessConfig("vertex", 3, 3, 0.25, 1e9, 0.0, g.edge_count // 2),
-                    ProcessConfig("vertex", 3, 3, 0.25, 4.0, -0.5, g.edge_count),
-                ]
-                for cfg in configs:
-                    trace = self._check(g, cfg)
+                    ProcessConfig("vertex", 3, 3, 0.25, 1e9, 0.0, m // 2),
+                    ProcessConfig("vertex", 3, 3, 0.25, 4.0, -0.5, m),
+                ):
+                    trace = vertex_deletion_process(g, cfg)
+                    naive = naive_vertex_deletion_process(g, cfg)
+                    assert trace == naive
+                    assert trace.final_graph == naive.final_graph
                     wide.update(step.item >= 64 for step in trace.steps)
         assert wide == {False, True}
 
