@@ -883,10 +883,11 @@ def min_edits_to_r_partite(
     """Minimum edge deletions after which the rest of g is r-partite.
 
     Equals m minus the maximum number of edges captured between the
-    classes of an r-part vertex partition; computed exactly by
-    component-wise backtracking over canonical part assignments with
-    cost pruning.  The cap bounds the largest component, where the
-    backtracking costs.
+    classes of an r-part vertex partition; computed exactly per component
+    by backtracking over the vertices in descending degree, pruned by a
+    greedy assignment's cost.  Parts open in first-use order, and a vertex
+    takes no lower part than its last earlier twin (same open or closed
+    neighbourhood).  The cap bounds the largest component.
     """
     if r < 1:
         raise ValueError("r must be at least 1")
@@ -897,24 +898,21 @@ def min_edits_to_r_partite(
 
 
 def _component_min_edits(g: Graph, comp: int, r: int) -> int:
-    # BFS order from a maximum-degree vertex keeps each prefix connected,
-    # so bad assignments accumulate cost early and prune well.
-    root = max(_bits(comp), key=lambda v: g.adjacency[v].bit_count())
-    order = [root]
-    seen = 1 << root
-    head = 0
-    while head < len(order):
-        for u in _bits(g.adjacency[order[head]]):
-            if not seen >> u & 1:
-                seen |= 1 << u
-                order.append(u)
-        head += 1
+    adj = g.adjacency
+    order = sorted(_bits(comp), key=lambda v: (-adj[v].bit_count(), v))
+    # Twins swap at no cost, so v starts at its last earlier twin's part.
+    # Twins share an open or a closed mask; no open mask is another's closed.
+    last: dict[int, int] = {}
+    twin = []
+    for v in order:
+        twin.append(last.get(adj[v], last.get(adj[v] | 1 << v, -1)))
+        last[adj[v]] = last[adj[v] | 1 << v] = v
 
     # greedy upper bound
     part_masks = [0] * r
     greedy = 0
     for v in order:
-        costs = [(g.adjacency[v] & pm).bit_count() for pm in part_masks]
+        costs = [(adj[v] & pm).bit_count() for pm in part_masks]
         pi = costs.index(min(costs))
         greedy += costs[pi]
         part_masks[pi] |= 1 << v
@@ -923,6 +921,7 @@ def _component_min_edits(g: Graph, comp: int, r: int) -> int:
     best = greedy
 
     part_masks = [0] * r
+    part: dict[int, int] = {}
 
     def rec(i: int, cost: int, used_parts: int) -> None:
         nonlocal best
@@ -932,10 +931,11 @@ def _component_min_edits(g: Graph, comp: int, r: int) -> int:
             best = cost
             return
         v = order[i]
-        for pi in range(min(used_parts + 1, r)):
-            add = (g.adjacency[v] & part_masks[pi]).bit_count()
+        for pi in range(part.get(twin[i], 0), min(used_parts + 1, r)):
+            add = (adj[v] & part_masks[pi]).bit_count()
             if cost + add < best:
                 part_masks[pi] |= 1 << v
+                part[v] = pi
                 rec(i + 1, cost + add, max(used_parts, pi + 1))
                 part_masks[pi] ^= 1 << v
 

@@ -15,6 +15,7 @@ from mexkit.constructions import (
     colex_turan_graph,
     complete_graph,
     turan_graph,
+    turan_number,
 )
 from mexkit.extremal import mex_clique, zykov_ex
 from mexkit.graphs import Graph, contains_subgraph, count_cliques, graph_from_edges
@@ -108,6 +109,23 @@ def _connected(edges):
                 reached |= {u, v}
                 grew = True
     return reached == {w for e in edges for w in e}
+
+
+def _twin_free_graphs():
+    """Seeded graphs on 5 to 9 vertices where no two vertices share an open or closed mask."""
+    rng = random.Random(31)
+    found = []
+    while len(found) < 40:
+        n = rng.randint(5, 9)
+        p = rng.uniform(0.2, 0.8)
+        g = graph_from_edges(
+            [(u, v) for u, v in combinations(range(1, n + 1), 2) if rng.random() < p],
+            explicit_vertex_count=n,
+        )
+        closed = {a | 1 << v for v, a in enumerate(g.adjacency) if v}
+        if len(set(g.adjacency[1:])) == len(closed) == n:
+            found.append(g)
+    return found
 
 
 def _shuffled(g, rng):
@@ -917,6 +935,11 @@ class TestMinEdits:
         assert min_edits_to_r_partite(complete_graph(4), 3) == 1
         assert min_edits_to_r_partite(turan_graph(3, 6), 3) == 0
         assert min_edits_to_r_partite(C5, 2) == 1
+        # K_n up to the default component cap: one class of true twins
+        for n in range(1, 17):
+            for r in range(1, 6):
+                want = comb(n, 2) - turan_number(r, n)
+                assert min_edits_to_r_partite(complete_graph(n), r) == want, (n, r)
 
     def test_colex_turan_is_already_partite(self):
         for r in (2, 3, 4):
@@ -924,10 +947,28 @@ class TestMinEdits:
                 assert min_edits_to_r_partite(colex_turan_graph(r, m), r) == 0
 
     def test_matches_naive_scan(self):
-        for g in named_small_graphs():
-            if g.vertex_count > 8:
+        p4 = graph_from_edges([(1, 2), (2, 3), (3, 4)])
+        # planted false twins: blowups repeat each open neighbourhood
+        false_twins = [blowup(h, t) for h in (P3, complete_graph(3)) for t in (2, 3)]
+        false_twins.append(blowup(p4, 2))
+        # planted true twins: K_a joined to b independent vertices, and K_4
+        # with pendant paths, whose untouched clique vertices share closed masks
+        joins = [
+            graph_from_edges([(u, v) for u in range(1, a + 1) for v in range(u + 1, a + b + 1)])
+            for a in (2, 3, 4, 5)
+            for b in (1, 3, 9 - a)
+        ]
+        k4_edges = list(complete_graph(4).edges())
+        pendants = [
+            graph_from_edges(k4_edges + [(1, 5), (5, 6)]),
+            graph_from_edges(k4_edges + [(1, 5), (5, 6), (2, 7)]),
+            graph_from_edges(k4_edges + [(1, 5), (5, 6), (6, 7), (2, 8), (8, 9)]),
+        ]
+        cases = named_small_graphs() + false_twins + joins + pendants + _twin_free_graphs()
+        for g in cases:
+            if g.vertex_count > 9:
                 continue
-            for r in (2, 3):
+            for r in (1, 2, 3, 4):
                 assert min_edits_to_r_partite(g, r) == naive_min_edits(g, r), (
                     list(g.edges()),
                     r,
