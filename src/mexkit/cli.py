@@ -423,18 +423,17 @@ def _trace_to_lines(trace: processes.ProcessTrace) -> None:
 
 
 def _cmd_process_run(args: argparse.Namespace) -> int:
-    """process edge / process vertex: the default config, overridden by the flags given."""
-    default_config, run = {
-        "edge": (processes.default_edge_config, processes.edge_deletion_process),
-        "vertex": (processes.default_vertex_config, processes.vertex_deletion_process),
+    """process edge / process vertex: the flags given, and the defaults for the others."""
+    defaults, run = {
+        "edge": (processes._edge_defaults, processes.edge_deletion_process),
+        "vertex": (processes._vertex_defaults, processes.vertex_deletion_process),
     }[args.procedure]
     g = _load_graph(args.input)
     flags = {"coefficient": args.coefficient, "exponent": args.exponent, "edge_budget": args.budget}
-    if None in flags.values():
-        config = default_config(g, args.s, args.r, args.epsilon)
-        config = dataclasses.replace(config, **{k: v for k, v in flags.items() if v is not None})
-    else:  # every default replaced, so only ProcessConfig's own checks apply
-        config = processes.ProcessConfig(args.procedure, args.s, args.r, args.epsilon, **flags)
+    if None in flags.values():  # with every flag given, only ProcessConfig's own checks apply
+        lazy = defaults(g, args.s, args.r, args.epsilon)
+        flags = {k: lazy[k]() if flags[k] is None else flags[k] for k in lazy}
+    config = processes.ProcessConfig(args.procedure, args.s, args.r, args.epsilon, **flags)
     _trace_to_lines(run(g, config))
     return EXIT_OK
 

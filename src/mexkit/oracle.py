@@ -9,7 +9,9 @@ the move touched, and the level keeps one canonical representative per
 form.  Each builder, _connected_upto by edges and _free_upto by
 vertices, gives only its moves, as vertex masks, and its rule.  _knapsack
 tables the multisets of connected classes that make up the graphs with
-each edge count up to m, and _attainers walks the optimal ones.  Safety
+each edge count up to m, and _attainers walks the optimal ones; a query
+that takes only the maximum scores the top level's kept children
+unlabeled, and keeps them as the store's pending level.  Safety
 caps guard every search whose space is super-exponential; they raise
 CapExceededError, and cap=None (CLI: MEXKIT_CAP_OVERRIDE=1) overrides
 them deliberately.
@@ -306,13 +308,33 @@ def canonical_graph(g: Graph) -> Graph:
 # enumeration up to isomorphism
 # ---------------------------------------------------------------------------
 
+
+# a kept child: its adjacency, the vertex mask of the component the move
+# merged (to be relabeled), and the parent's items it keeps
+_Child = tuple[Sequence[int], int, list[tuple]]
+
+# a builder's expand(h): h's moves and child(move), as _kept_children takes them
+_Expand = Callable[[Graph], tuple[list[int], Callable[[int], Sequence[int] | None]]]
+
+
+class _Levels(list):
+    """One _LEVELS entry: the finished levels 0..len-1, and pending.
+
+    pending is None or the kept children of level len, unlabeled, in the
+    order the labeling step takes them: _top_level stores them, and
+    _levels finishes level len from them.
+    """
+
+    pending: list[_Child] | None = None
+
+
 # (move, canonical form of the forbidden graph or None) -> levels, each
 # mapping canonical form -> canonical representative in form order:
 # ("edge", None) holds the connected graphs by edge count, level 0 the
 # one-vertex graph; ("vertex", F's form) the F-free graphs by vertex count,
 # level 0 the empty graph.  The levels are extended in place and pay off
 # when one process asks for them again, as `verify zykov` does for each n
-_LEVELS: dict[tuple, list[dict[tuple, Graph]]] = {}
+_LEVELS: dict[tuple, _Levels] = {}
 
 # component item (size, bits) -> generators of its automorphism group on
 # canonical positions, as _component_bits last found them for a grown child;
@@ -372,118 +394,163 @@ def _orbit_leaders(masks: Iterable[int], gens: list[list[int]]) -> list[int]:
     return leaders
 
 
-def _levels(
-    key: tuple,
-    seed: dict[tuple, Graph],
-    upto: int,
-    expand: Callable[[Graph], tuple[list[int], Callable[[int], Sequence[int] | None]]],
-) -> list[dict[tuple, Graph]]:
+def _levels(key: tuple, seed: dict[tuple, Graph], expand: _Expand, upto: int) -> _Levels:
     """Levels 0..upto under key in _LEVELS, level 0 being seed, extended in place.
 
     The one canonical augmentation loop (McKay, "Isomorph-free exhaustive
-    generation", J. Algorithms 26, 1998).  expand(h) gives the moves of
-    the class h on n vertices, vertex masks over 1..n+1 in a fixed order,
-    and child(move): the child's adjacency on n or, with the fresh vertex,
-    n+1 vertices, or None when the builder's deletion rule would not undo
-    the move.  Moves in one orbit of h's automorphisms give isomorphic
-    children, so h tries only the first of each, under _class_generators,
-    which fix n+1.  A kept child relabels one component, the fresh vertex
-    merged with the blocks of h the move meets, and keeps h's other items;
-    its generators go to _AUTOMORPHISMS (a lone vertex is not labeled).
-    Isomorphic children of different parents still meet, so the next
-    level maps each form to its representative, in form order.
+    generation", J. Algorithms 26, 1998), two steps per level: the kept
+    children of the last level (_kept_children), then their labels
+    (_label).  A pending level is finished by labeling exactly its kept
+    children, in order, so levels and _AUTOMORPHISMS match a cold build.
     """
-    levels = _LEVELS.setdefault(key, [seed])
+    levels = _LEVELS.setdefault(key, _Levels([seed]))
     while len(levels) <= upto:
-        grown: dict[tuple, Graph] = {}
-        for (n, items), h in levels[-1].items():
-            moves, child = expand(h)
-            blocks = []  # (mask of a component's block of labels, its item)
-            base = 1
-            for item in items:
-                blocks.append(((1 << item[0]) - 1 << base, item))
-                base += item[0]
-            for move in _orbit_leaders(moves, _class_generators(items)):
-                adj = child(move)
-                if adj is None:
-                    continue
-                k = len(adj) - 1
-                comp = 1 << k if k > n else 0  # the fresh vertex, if the child has it
-                kept = []
-                for mask, item in blocks:
-                    if mask & move:
-                        comp |= mask
-                    else:
-                        kept.append(item)
-                if comp & comp - 1:
-                    bits, gens = _component_bits(adj, comp)
-                    item = (comp.bit_count(), bits)
-                    _AUTOMORPHISMS[item] = gens
-                else:
-                    item = (1, ())
-                kept.append(item)
-                form = (k, tuple(sorted(kept)))
-                if form not in grown:
-                    grown[form] = _graph_from_items(*form)
-        levels.append(dict(sorted(grown.items())))
+        children, levels.pending = levels.pending, None
+        levels.append(_label(_kept_children(levels[-1], expand) if children is None else children))
     return levels
+
+
+def _kept_children(level: dict[tuple, Graph], expand: _Expand) -> Iterator[_Child]:
+    """The kept children of the classes of level, parent by parent, unlabeled.
+
+    expand(h) gives the moves of the class h on n vertices, vertex masks
+    over 1..n+1 in a fixed order, and child(move): the child's adjacency
+    on n or, with the fresh vertex, n+1 vertices, or None when the
+    builder's deletion rule would not undo the move.  Moves in one orbit
+    of h's automorphisms give isomorphic children, so h tries only the
+    first of each, under _class_generators, which fix n+1.  A kept child
+    comes with the one component to relabel, the fresh vertex merged with
+    the blocks of h the move meets, and with h's other items, which it
+    keeps.
+    """
+    for (n, items), h in level.items():
+        moves, child = expand(h)
+        blocks = []  # (mask of a component's block of labels, its item)
+        base = 1
+        for item in items:
+            blocks.append(((1 << item[0]) - 1 << base, item))
+            base += item[0]
+        for move in _orbit_leaders(moves, _class_generators(items)):
+            adj = child(move)
+            if adj is None:
+                continue
+            k = len(adj) - 1
+            comp = 1 << k if k > n else 0  # the fresh vertex, if the child has it
+            kept = []
+            for mask, item in blocks:
+                if mask & move:
+                    comp |= mask
+                else:
+                    kept.append(item)
+            yield adj, comp, kept
+
+
+def _label(children: Iterable[_Child]) -> dict[tuple, Graph]:
+    """The level the children make: each form once, mapped to its representative, in form order.
+
+    Each child's merged component is relabeled and its generators go to
+    _AUTOMORPHISMS (a lone vertex is not labeled).  Isomorphic children
+    of different parents still meet, so the level keeps the first.
+    """
+    grown: dict[tuple, Graph] = {}
+    for adj, comp, kept in children:
+        if comp & comp - 1:
+            bits, gens = _component_bits(adj, comp)
+            item = (comp.bit_count(), bits)
+            _AUTOMORPHISMS[item] = gens
+        else:
+            item = (1, ())
+        kept.append(item)
+        form = (len(adj) - 1, tuple(sorted(kept)))
+        if form not in grown:
+            grown[form] = _graph_from_items(*form)
+    return dict(sorted(grown.items()))
+
+
+def _top_level(
+    key: tuple, seed: dict[tuple, Graph], expand: _Expand, top: int
+) -> Iterator[Graph]:
+    """Every class of level top at least once, labeling none of that level.
+
+    A finished level top gives its representatives; otherwise its kept
+    children, stored as key's pending level, each as a graph on its own
+    labels.  Every class is among them (the completeness half of
+    canonical augmentation), but a class may repeat, so they serve a
+    maximum and not a count.
+    """
+    levels = _levels(key, seed, expand, top - 1)
+    if len(levels) > top:
+        yield from levels[top].values()
+        return
+    if levels.pending is None:
+        levels.pending = list(_kept_children(levels[-1], expand))
+    for adj, _, _ in levels.pending:
+        yield _trusted_graph(len(adj) - 1, tuple(adj))
+
+
+def _edge_expand(h: Graph) -> tuple[list[int], Callable[[int], list[int] | None]]:
+    """The edge builder's moves of the connected class h and its child(move) (_connected_upto)."""
+    n = h.vertex_count
+    moves = [
+        1 << u | 1 << v
+        for v in range(2, n + 2)
+        for u in range(1, v)
+        if not h.adjacency[u] >> v & 1
+    ]
+    deg = [a.bit_count() for a in h.adjacency] + [0]
+    edges = [(a, b, deg[a], deg[b]) for a, b in _colex_edges(h.adjacency)]
+
+    def child(move: int) -> list[int] | None:
+        u, v = (move & -move).bit_length() - 1, move.bit_length() - 1
+        du, dv = deg[u] + 1, deg[v] + 1
+        key = (du, dv) if du <= dv else (dv, du)
+        doubtful = []  # the smaller-key edges that are not pendant
+        for a, b, da, db in edges:
+            da += move >> a & 1
+            db += move >> b & 1
+            k = (da, db) if da <= db else (db, da)
+            if k < key:
+                if k[0] == 1:
+                    return None
+                doubtful.append((a, b))
+        adj = [*h.adjacency, 0] if v > n else list(h.adjacency)
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+        for a, b in doubtful:
+            cut = adj.copy()
+            cut[a] ^= 1 << b
+            cut[b] ^= 1 << a
+            if len(_components(cut)) == 1:  # ab is no bridge, so deletable
+                return None
+        return adj
+
+    return moves, child
+
+
+# the edge builder's _levels key, level 0 (the one-vertex graph) and expand
+_EDGE_BUILDER = (("edge", None), {(1, ((1, ()),)): Graph(1, (0, 0))}, _edge_expand)
 
 
 def _connected_upto(m: int) -> list[dict[tuple, Graph]]:
     """Connected graphs with up to m edges, one canonical representative each.
 
-    Level j grows from level j-1 through _levels.  The moves of a parent
-    on n vertices are its non-edges uv, u < v <= n+1, as masks 1<<u | 1<<v
-    in colex order; v = n+1 adds a pendant edge to the fresh vertex.  The
-    rule keeps the child when no deletable edge (pendant, or not a bridge)
-    has a smaller key, the sorted pair of its endpoint degrees; ties are
-    kept.  This is exact: every connected graph with at least 1 edge has a
-    deletable edge of least key, and deleting it (with its leaf, if
-    pendant) leaves a connected class of level j-1, to which adding the
-    edge back is one of the moves.  The rule is taken once per parent, a
-    move adding 1 to the degrees at u and v: a smaller-key pendant edge
-    rejects it before the child is built, and a smaller-key edge that is
-    not pendant rejects it when the child stays connected without it.
+    Level j grows from level j-1 through _levels, with _edge_expand's
+    moves and rule.  The moves of a parent on n vertices are its
+    non-edges uv, u < v <= n+1, as masks 1<<u | 1<<v in colex order; v =
+    n+1 adds a pendant edge to the fresh vertex.  The rule keeps the
+    child when no deletable edge (pendant, or not a bridge) has a smaller
+    key, the sorted pair of its endpoint degrees; ties are kept.  This is
+    exact: every connected graph with at least 1 edge has a deletable
+    edge of least key, and deleting it (with its leaf, if pendant) leaves
+    a connected class of level j-1, to which adding the edge back is one
+    of the moves.  The rule is taken once per parent, a move adding 1 to
+    the degrees at u and v: a smaller-key pendant edge rejects it before
+    the child is built, and a smaller-key edge that is not pendant
+    rejects it when the child stays connected without it.  A max-only
+    query reads level m unlabeled through _top_level(*_EDGE_BUILDER, m);
+    the next call that needs its classes finishes it.
     """
-
-    def expand(h: Graph) -> tuple[list[int], Callable[[int], list[int] | None]]:
-        n = h.vertex_count
-        moves = [
-            1 << u | 1 << v
-            for v in range(2, n + 2)
-            for u in range(1, v)
-            if not h.adjacency[u] >> v & 1
-        ]
-        deg = [a.bit_count() for a in h.adjacency] + [0]
-        edges = [(a, b, deg[a], deg[b]) for a, b in _colex_edges(h.adjacency)]
-
-        def child(move: int) -> list[int] | None:
-            u, v = (move & -move).bit_length() - 1, move.bit_length() - 1
-            du, dv = deg[u] + 1, deg[v] + 1
-            key = (du, dv) if du <= dv else (dv, du)
-            doubtful = []  # the smaller-key edges that are not pendant
-            for a, b, da, db in edges:
-                da += move >> a & 1
-                db += move >> b & 1
-                k = (da, db) if da <= db else (db, da)
-                if k < key:
-                    if k[0] == 1:
-                        return None
-                    doubtful.append((a, b))
-            adj = [*h.adjacency, 0] if v > n else list(h.adjacency)
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-            for a, b in doubtful:
-                cut = adj.copy()
-                cut[a] ^= 1 << b
-                cut[b] ^= 1 << a
-                if len(_components(cut)) == 1:  # ab is no bridge, so deletable
-                    return None
-            return adj
-
-        return moves, child
-
-    return _levels(("edge", None), {(1, ((1, ()),)): Graph(1, (0, 0))}, m, expand)
+    return _levels(*_EDGE_BUILDER, m)
 
 
 # (edge count, score) -> the connected classes scoring so, as (index, component
@@ -649,8 +716,14 @@ def brute_force_mex_profile(
     """brute_force_mex's optimum for m = 1..m_max, the brute-force twin of extremal.mex_profile.
 
     A connected (or empty) forbidden graph takes one _knapsack table up
-    to m_max, so each connected class is scored once for every m; a
-    forbidden graph with two or more components takes the per-m
+    to m_max - 1, each connected class scored once, and level m_max
+    unlabeled (_top_level): best[m_max] is the larger of the best score
+    of a kept child with m_max edges and best[j] + best[m_max - j] over 1
+    <= j <= m_max/2 with both terms at least 0.  This is exact: the score
+    is isomorphism-invariant, every connected class is among the kept
+    children (repeats only repeat a score), and a multiset of two or more
+    classes splits into two multisets with fewer edges each.  A forbidden
+    graph with two or more components takes the per-m
     enumerate-and-filter search.  An m_max below 1 gives an empty list.
     """
     if s < 1:
@@ -660,7 +733,15 @@ def brute_force_mex_profile(
         return []
     if len(_components(forbidden.adjacency)) > 1:
         return [_mex_by_enumeration(m, s, forbidden, cap).optimum for m in range(1, m_max + 1)]
-    best = _knapsack(m_max, _mex_score(s, forbidden))[0]
+    score = _mex_score(s, forbidden)
+    best = _knapsack(m_max - 1, score)[0]
+    top = [p for g in _top_level(*_EDGE_BUILDER, m_max) if (p := score(g)) is not None]
+    top += [
+        best[j] + best[m_max - j]
+        for j in range(1, m_max // 2 + 1)
+        if min(best[j], best[m_max - j]) >= 0
+    ]
+    best.append(max(top, default=-1))
     return [max(b, 0) for b in best[1:]]
 
 
@@ -749,7 +830,7 @@ def _free_upto(n: int, forbidden: Graph) -> list[dict[tuple, Graph]]:
         return moves, child
 
     key = ("vertex", canonical_form(forbidden))
-    return _levels(key, {(0, ()): Graph(0, (0,))}, n, expand)
+    return _levels(key, {(0, ()): Graph(0, (0,))}, expand, n)
 
 
 # ---------------------------------------------------------------------------

@@ -137,23 +137,53 @@ def proof_constants(r: int, s: int, epsilon: float) -> ProofConstants:
 
 def default_edge_config(g: Graph, s: int, r: int, epsilon: float) -> ProcessConfig:
     """Edge-mode defaults: threshold 2^(s-2) eps^(2s-4)/(s-2)! * m^((s-2)/2), budget floor(rho*m)."""
-    if s < 3:
-        raise ValueError("edge mode defaults need s >= 3")
-    rho = proof_constants(r, s, epsilon).rho  # raises from s = 171 on, before (s-2)! can overflow
-    coeff = 2 ** (s - 2) * epsilon ** (2 * s - 4) / factorial(s - 2)
-    if coeff == 0.0:
-        raise ValueError(f"default edge coefficient underflows to 0 (s={s}, epsilon={epsilon})")
-    return ProcessConfig("edge", s, r, epsilon, coeff, (s - 2) / 2, math.floor(rho * g.edge_count))
+    defaults = _edge_defaults(g, s, r, epsilon)
+    return ProcessConfig("edge", s, r, epsilon, **{k: f() for k, f in defaults.items()})
 
 
 def default_vertex_config(g: Graph, s: int, r: int, epsilon: float) -> ProcessConfig:
     """Vertex-mode defaults: threshold beta_r (1-2 eps) sqrt(m), budget floor(eps*m)."""
+    defaults = _vertex_defaults(g, s, r, epsilon)
+    return ProcessConfig("vertex", s, r, epsilon, **{k: f() for k, f in defaults.items()})
+
+
+def _edge_defaults(g: Graph, s: int, r: int, epsilon: float) -> dict[str, Callable[[], float]]:
+    """default_edge_config's field values, each computed only when called, budget first."""
+    if s < 3:
+        raise ValueError("edge mode defaults need s >= 3")
+
+    def coefficient() -> float:
+        try:
+            coeff = 2 ** (s - 2) * epsilon ** (2 * s - 4) / factorial(s - 2)
+        except OverflowError:  # (s-2)! past the float range, from s = 173 on
+            raise ValueError(
+                f"(s-2)! overflows a float in the default edge coefficient"
+                f" (s={s}, epsilon={epsilon})"
+            ) from None
+        if coeff == 0.0:
+            raise ValueError(
+                f"default edge coefficient underflows to 0 (s={s}, epsilon={epsilon})"
+            )
+        return coeff
+
+    return {
+        # proof_constants raises from s = 171 on, so without flags this
+        # error comes before the coefficient's
+        "edge_budget": lambda: math.floor(proof_constants(r, s, epsilon).rho * g.edge_count),
+        "coefficient": coefficient,
+        "exponent": lambda: (s - 2) / 2,
+    }
+
+
+def _vertex_defaults(g: Graph, s: int, r: int, epsilon: float) -> dict[str, Callable[[], float]]:
+    """default_vertex_config's field values, each computed only when called."""
     if not 0.0 < epsilon < 0.5:
         raise ValueError("vertex mode defaults need epsilon in (0, 0.5)")
-    coeff = beta(r).float_value * (1.0 - 2.0 * epsilon)
-    return ProcessConfig(
-        "vertex", s, r, epsilon, coeff, 0.5, math.floor(epsilon * g.edge_count)
-    )
+    return {
+        "coefficient": lambda: beta(r).float_value * (1.0 - 2.0 * epsilon),
+        "exponent": lambda: 0.5,
+        "edge_budget": lambda: math.floor(epsilon * g.edge_count),
+    }
 
 
 @dataclass(frozen=True)

@@ -306,13 +306,17 @@ class TestExitCodes:
         [
             (("process", "edge", "--s", "120", "--r", "3", "--epsilon", "0.2"),
              "default edge coefficient underflows to 0 (s=120, epsilon=0.2)"),
-            (("process", "edge", "--s", "171", "--r", "3", "--epsilon", "0.9",
-              "--coefficient", "1", "--budget", "1"),
+            (("process", "edge", "--s", "171", "--r", "3", "--epsilon", "0.9"),
              "s! overflows a float in rho_lower (s=171, epsilon=0.9)"),
+            (("process", "edge", "--s", "173", "--r", "3", "--epsilon", "0.9", "--budget", "1"),
+             "(s-2)! overflows a float in the default edge coefficient (s=173, epsilon=0.9)"),
             (("process", "constants", "--r", "3", "--s", "171", "--epsilon", "0.2"),
              "s! overflows a float in rho_lower (s=171, epsilon=0.2)"),
         ],
-        ids=["edge-coefficient-underflow", "edge-rho-overflow", "constants-rho-overflow"],
+        ids=[
+            "edge-coefficient-underflow", "edge-rho-overflow", "edge-coefficient-overflow",
+            "constants-rho-overflow",
+        ],
     )
     def test_large_s_names_the_default_constant(self, capsys, tmp_path, argv, message):
         if argv[1] == "edge":
@@ -321,6 +325,23 @@ class TestExitCodes:
             argv = (*argv[:2], "--input", str(path), *argv[2:])
         code, out, err = run(capsys, *argv)
         assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--s", "171", "--epsilon", "0.9", "--coefficient", "1", "--budget", "1"),
+            ("--s", "120", "--epsilon", "0.2", "--coefficient", "1"),
+        ],
+        ids=["rho-replaced", "coefficient-replaced"],
+    )
+    def test_a_flag_spares_the_default_it_replaces(self, capsys, tmp_path, argv):
+        # the default that would fail is never computed; without the flags
+        # these runs fail on it (test_large_s_names_the_default_constant)
+        path = tmp_path / "paw.edges"
+        path.write_text("1 2\n1 3\n2 3\n3 4\n")
+        code, out, err = run(capsys, "process", "edge", "--input", str(path), "--r", "3", *argv)
+        assert (code, err) == (0, "")
+        assert out.splitlines()[-1].startswith('{"kind":"summary",'), out
 
     @pytest.mark.parametrize("mode", ["edge", "vertex"])
     @pytest.mark.parametrize("flag", ["--coefficient", "--exponent"])
@@ -395,17 +416,34 @@ class TestVerifySubcommands:
         )
 
     def test_frohmader_builds_one_knapsack_table(self, capsys, monkeypatch):
-        # every row is read from one table, each connected class scored once
+        # the rows below m-max are read from one table, each connected class
+        # scored once; level m-max is scored from its kept children, so a
+        # fresh store labels only the levels below it
         calls = []
         knapsack = oracle._knapsack
+        labelings = []
+        label = oracle._component_bits
 
         def counted(m, score):
             calls.append(m)
             return knapsack(m, score)
 
+        def counted_label(adjacency, comp):
+            labelings.append(comp)
+            return label(adjacency, comp)
+
         monkeypatch.setattr(oracle, "_knapsack", counted)
+        monkeypatch.setattr(oracle, "_component_bits", counted_label)
+        monkeypatch.setattr(oracle, "_LEVELS", {})
+        monkeypatch.setattr(oracle, "_AUTOMORPHISMS", {})
         code, out, _ = run(capsys, "verify", "frohmader", "--r", "3", "--s", "3", "--m-max", "7")
-        assert (code, out.count(" ok\n"), calls) == (0, 8, [7])
+        assert (code, out.count(" ok\n"), calls) == (0, 8, [6])
+        below = len(labelings)
+        monkeypatch.setattr(oracle, "_LEVELS", {})
+        monkeypatch.setattr(oracle, "_AUTOMORPHISMS", {})
+        labelings.clear()
+        oracle._connected_upto(6)
+        assert below == len(labelings) > 0
 
     @pytest.mark.parametrize(
         "argv, code, err",

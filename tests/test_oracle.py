@@ -49,6 +49,7 @@ from oracles import (
 P3 = graph_from_edges([(1, 2), (2, 3)])
 C4 = graph_from_edges([(1, 2), (2, 3), (3, 4), (1, 4)])
 C5 = graph_from_edges([(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)])
+K4_MINUS_E = graph_from_edges([(1, 2), (1, 3), (2, 3), (2, 4), (3, 4)])
 K13 = graph_from_edges([(1, 2), (1, 3), (1, 4)])
 TWO_K2 = graph_from_edges([(1, 2), (3, 4)])
 K2_K1 = graph_from_edges([(1, 2)], explicit_vertex_count=3)
@@ -220,22 +221,14 @@ class TestEnumeration:
         for g in (C5, complete_graph(4), K13, turan_graph(2, 6)):
             assert all(naive_least_deletable(g.adjacency, *e) for e in g.edges())
 
-    def test_deletion_rule_matches_the_naive_rule(self, monkeypatch):
+    def test_deletion_rule_matches_the_naive_rule(self):
         # every move of every class on levels 0..8, of the hard graphs, and of
         # the dumbbell above and its connected one-edge deletions, each also
         # under three shuffles so a bridge's far side may hold vertex 1:
         # child(move) keeps a move exactly when the rule holds on the child,
         # and returns it
-        expands = []
-        levels_of = oracle._levels
-
-        def capture(key, seed, upto, expand):
-            expands.append(expand)
-            return levels_of(key, seed, upto, expand)
-
-        monkeypatch.setattr(oracle, "_levels", capture)
         levels = oracle._connected_upto(8)
-        (expand,) = expands
+        expand = oracle._edge_expand
         diamond = [(1, 2), (1, 3), (2, 3), (2, 4), (3, 4)]
         dumbbell = diamond + [(u + 6, v + 6) for u, v in diamond] + [(4, 5), (5, 6), (6, 7)]
         cut = [[f for f in dumbbell if f != e] for e in dumbbell]
@@ -463,9 +456,28 @@ def _level_digest(build):
 class TestLevelDigests:
     # recorded before the mask-cell refinement kernel: a labeling change that
     # reorders a form, a level or a generator list changes these
+    CONNECTED = "3857d1b75e5399d042b0da60ee6c89942d09f9d35570cf8ba58e044c937b21a0"
+
     def test_connected_levels(self):
-        digest = "3857d1b75e5399d042b0da60ee6c89942d09f9d35570cf8ba58e044c937b21a0"
-        assert _level_digest(lambda: oracle._connected_upto(9)) == digest
+        assert _level_digest(lambda: oracle._connected_upto(9)) == self.CONNECTED
+
+    def test_pending_level_finishes_as_a_cold_build(self):
+        # the profile leaves level 9 as kept children, unlabeled, which meet
+        # every class; labeling them gives the levels and generators of a
+        # cold build
+        forms = set()
+
+        def build():
+            brute_force_mex_profile(9, 3, complete_graph(4))
+            levels = oracle._LEVELS[("edge", None)]
+            assert len(levels) == 9 and levels.pending
+            forms.update(map(canonical_form, oracle._top_level(*oracle._EDGE_BUILDER, 9)))
+            assert len(levels) == 9
+            levels = oracle._connected_upto(9)
+            assert forms == set(levels[9])
+            return levels
+
+        assert _level_digest(build) == self.CONNECTED
 
     @pytest.mark.parametrize(
         "k, digest",
@@ -601,14 +613,38 @@ class TestBruteForceMex:
 class TestBruteForceMexProfile:
     @pytest.mark.parametrize(
         "forbidden",
-        [complete_graph(k) for k in range(1, 5)]
-        + [P3, C4, K13, TWO_K2, K2_K1, Graph(0, (0,))],
-        ids=["K1", "K2", "K3", "K4", "P3", "C4", "K13", "2K2", "K2+K1", "empty"],
+        [complete_graph(k) for k in range(1, 6)]
+        + [P3, C4, C5, K4_MINUS_E, K13, TWO_K2, K2_K1, Graph(0, (0,))],
+        ids=[
+            "K1", "K2", "K3", "K4", "K5", "P3", "C4", "C5", "K4-e", "K13", "2K2", "K2+K1", "empty"
+        ],
     )
-    def test_matches_the_per_m_search(self, forbidden):
+    def test_matches_the_per_m_search(self, forbidden, monkeypatch):
+        # the profiles run first, on a fresh store: a connected forbidden
+        # graph leaves level 8 unlabeled, and the per-m searches finish it
+        monkeypatch.setattr(oracle, "_LEVELS", {})
+        monkeypatch.setattr(oracle, "_AUTOMORPHISMS", {})
+        got = [brute_force_mex_profile(8, s, forbidden) for s in range(1, 5)]
         for s in range(1, 5):
             want = [brute_force_mex(m, s, forbidden).optimum for m in range(1, 9)]
-            assert brute_force_mex_profile(8, s, forbidden) == want, s
+            assert got[s - 1] == want, s
+
+    def test_enumeration_order_does_not_matter(self, monkeypatch):
+        # the profile reads level 9 finished, or leaves it pending for
+        # enumerate_graphs to finish
+        results = []
+        for profile_first in (True, False):
+            monkeypatch.setattr(oracle, "_LEVELS", {})
+            monkeypatch.setattr(oracle, "_AUTOMORPHISMS", {})
+            steps = [
+                lambda: brute_force_mex_profile(9, 3, complete_graph(4)),
+                lambda: list(enumerate_graphs(9)),
+            ]
+            got = [step() for step in (steps if profile_first else steps[::-1])]
+            results.append(got if profile_first else got[::-1])
+        assert results[0] == results[1]
+        assert results[0][0] == [mex_clique(m, 3, 3) for m in range(1, 10)]
+        assert len(results[0][1]) == _EXPECTED_GRAPH_COUNTS[8]
 
     def test_empty_profile_and_validation(self):
         def outcome(search, *args):
