@@ -31,7 +31,7 @@ EXIT_USAGE = 2
 EXIT_CAP = 3
 
 # OEIS A000664: graphs with m edges and no isolated vertices
-_EXPECTED_GRAPH_COUNTS = [1, 2, 5, 11, 26, 68, 177, 497, 1476, 4613, 15216, 52944]
+_EXPECTED_GRAPH_COUNTS = [1, 2, 5, 11, 26, 68, 177, 497, 1476, 4613, 15216, 52944, 193367]
 
 # largest vertex count (top label or ``n`` header) an input file may give;
 # a graph holds one neighbour mask per vertex, so a stray label like
@@ -424,17 +424,12 @@ def _trace_to_lines(trace: processes.ProcessTrace) -> None:
 
 def _cmd_process_run(args: argparse.Namespace) -> int:
     """process edge / process vertex: the flags given, and the defaults for the others."""
-    defaults, run = {
-        "edge": (processes._edge_defaults, processes.edge_deletion_process),
-        "vertex": (processes._vertex_defaults, processes.vertex_deletion_process),
-    }[args.procedure]
     g = _load_graph(args.input)
     flags = {"coefficient": args.coefficient, "exponent": args.exponent, "edge_budget": args.budget}
-    if None in flags.values():  # with every flag given, only ProcessConfig's own checks apply
-        lazy = defaults(g, args.s, args.r, args.epsilon)
-        flags = {k: lazy[k]() if flags[k] is None else flags[k] for k in lazy}
-    config = processes.ProcessConfig(args.procedure, args.s, args.r, args.epsilon, **flags)
-    _trace_to_lines(run(g, config))
+    given = {k: v for k, v in flags.items() if v is not None}
+    config = processes._config(args.procedure, g, args.s, args.r, args.epsilon, given)
+    run = {"edge": processes.edge_deletion_process, "vertex": processes.vertex_deletion_process}
+    _trace_to_lines(run[args.procedure](g, config))
     return EXIT_OK
 
 

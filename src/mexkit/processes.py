@@ -136,54 +136,57 @@ def proof_constants(r: int, s: int, epsilon: float) -> ProofConstants:
 
 
 def default_edge_config(g: Graph, s: int, r: int, epsilon: float) -> ProcessConfig:
-    """Edge-mode defaults: threshold 2^(s-2) eps^(2s-4)/(s-2)! * m^((s-2)/2), budget floor(rho*m)."""
-    defaults = _edge_defaults(g, s, r, epsilon)
-    return ProcessConfig("edge", s, r, epsilon, **{k: f() for k, f in defaults.items()})
+    """Edge-mode defaults: threshold 2^(s-2) eps^(2s-4)/(s-2)! * m^((s-2)/2), budget floor(rho*m).
+
+    Needs s >= 3; a default past the float range raises a ValueError naming it.
+    """
+    return _config("edge", g, s, r, epsilon, {})
 
 
 def default_vertex_config(g: Graph, s: int, r: int, epsilon: float) -> ProcessConfig:
-    """Vertex-mode defaults: threshold beta_r (1-2 eps) sqrt(m), budget floor(eps*m)."""
-    defaults = _vertex_defaults(g, s, r, epsilon)
-    return ProcessConfig("vertex", s, r, epsilon, **{k: f() for k, f in defaults.items()})
+    """Vertex-mode defaults: threshold beta_r (1-2 eps) sqrt(m), budget floor(eps*m).
+
+    Needs 0 < epsilon < 0.5, so that the coefficient is positive.
+    """
+    return _config("vertex", g, s, r, epsilon, {})
 
 
-def _edge_defaults(g: Graph, s: int, r: int, epsilon: float) -> dict[str, Callable[[], float]]:
-    """default_edge_config's field values, each computed only when called, budget first."""
-    if s < 3:
-        raise ValueError("edge mode defaults need s >= 3")
+def _config(mode: str, g: Graph, s: int, r: int, epsilon: float, given: dict) -> ProcessConfig:
+    """The config of the fields in given, and of the mode's defaults for the others.
 
-    def coefficient() -> float:
-        try:
-            coeff = 2 ** (s - 2) * epsilon ** (2 * s - 4) / factorial(s - 2)
-        except OverflowError:  # (s-2)! past the float range, from s = 173 on
-            raise ValueError(
-                f"(s-2)! overflows a float in the default edge coefficient"
-                f" (s={s}, epsilon={epsilon})"
-            ) from None
-        if coeff == 0.0:
-            raise ValueError(
-                f"default edge coefficient underflows to 0 (s={s}, epsilon={epsilon})"
-            )
-        return coeff
-
-    return {
-        # proof_constants raises from s = 171 on, so without flags this
-        # error comes before the coefficient's
-        "edge_budget": lambda: math.floor(proof_constants(r, s, epsilon).rho * g.edge_count),
-        "coefficient": coefficient,
-        "exponent": lambda: (s - 2) / 2,
-    }
-
-
-def _vertex_defaults(g: Graph, s: int, r: int, epsilon: float) -> dict[str, Callable[[], float]]:
-    """default_vertex_config's field values, each computed only when called."""
-    if not 0.0 < epsilon < 0.5:
-        raise ValueError("vertex mode defaults need epsilon in (0, 0.5)")
-    return {
-        "coefficient": lambda: beta(r).float_value * (1.0 - 2.0 * epsilon),
-        "exponent": lambda: 0.5,
-        "edge_budget": lambda: math.floor(epsilon * g.edge_count),
-    }
+    A given field's default is never computed, and the mode's domain
+    (edge: s >= 3; vertex: 0 < epsilon < 0.5) is checked only when some
+    default is.  The edge budget comes first: proof_constants raises from
+    s = 171 on, before the coefficient's (s-2)! overflows at s = 173.
+    """
+    f = dict(given)
+    if mode == "edge":
+        if len(f) < 3 and s < 3:
+            raise ValueError("edge mode defaults need s >= 3")
+        if "edge_budget" not in f:
+            f["edge_budget"] = math.floor(proof_constants(r, s, epsilon).rho * g.edge_count)
+        if "coefficient" not in f:
+            try:
+                f["coefficient"] = 2 ** (s - 2) * epsilon ** (2 * s - 4) / factorial(s - 2)
+            except OverflowError:  # (s-2)! past the float range, from s = 173 on
+                raise ValueError(
+                    f"(s-2)! overflows a float in the default edge coefficient"
+                    f" (s={s}, epsilon={epsilon})"
+                ) from None
+            if f["coefficient"] == 0.0:
+                raise ValueError(
+                    f"default edge coefficient underflows to 0 (s={s}, epsilon={epsilon})"
+                )
+        f.setdefault("exponent", (s - 2) / 2)
+    else:
+        if len(f) < 3 and not 0.0 < epsilon < 0.5:
+            raise ValueError("vertex mode defaults need epsilon in (0, 0.5)")
+        if "coefficient" not in f:
+            f["coefficient"] = beta(r).float_value * (1.0 - 2.0 * epsilon)
+        if "edge_budget" not in f:
+            f["edge_budget"] = math.floor(epsilon * g.edge_count)
+        f.setdefault("exponent", 0.5)
+    return ProcessConfig(mode, s, r, epsilon, **f)
 
 
 @dataclass(frozen=True)

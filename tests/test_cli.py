@@ -1,5 +1,6 @@
 import argparse
 import hashlib
+import itertools
 import json
 import os
 import subprocess
@@ -357,6 +358,19 @@ class TestExitCodes:
             assert (code, out) == (2, "")
             assert err == f"error: {flag[2:]} must be finite\n"
 
+    @pytest.mark.parametrize("mode", ["edge", "vertex"])
+    @pytest.mark.parametrize("epsilon", ["inf", "nan"])
+    def test_all_flags_leave_epsilon_to_the_config(self, capsys, tmp_path, mode, epsilon):
+        # no default is computed, so none (floor(epsilon * m) in vertex
+        # mode) fails before ProcessConfig's own epsilon check
+        path = tmp_path / "paw.edges"
+        path.write_text("1 2\n1 3\n2 3\n3 4\n")
+        got = run(
+            capsys, "process", mode, "--input", str(path), "--s", "3", "--r", "3",
+            "--epsilon", epsilon, "--coefficient", "2", "--exponent", "0.5", "--budget", "1",
+        )
+        assert got == (2, "", "error: epsilon must lie in (0, 1)\n")
+
     @pytest.mark.parametrize(
         "flag, value",
         [("--exponent", "-1e-3"), ("--exponent", "-1e308"), ("--exponent", "-1E-3"),
@@ -489,7 +503,7 @@ class TestVerifySubcommands:
         "m_max, code, err",
         [
             ("11", 3, "edge count 11 exceeds the safety cap 10"),
-            ("13", 2, "reference counts available only for m <= 12"),
+            ("14", 2, "reference counts available only for m <= 13"),
         ],
     )
     def test_enumeration_fails_before_any_row(self, capsys, monkeypatch, m_max, code, err):
@@ -729,6 +743,43 @@ class TestSearch:
         assert run(capsys, *argv) == (0, '{"parts":2,"t":4,"found":false}\n', "")
 
 
+# TestProcess.test_flag_grid_bytes: the sha256 of each (mode, s, epsilon) cell
+_FLAG_GRID_SHA256 = {
+    ("edge", "2", "0.2"):
+        "b1b01e71858c7ba9e041664076937db1ceb9a96caa68f0cf5a78bad1beaad743",
+    ("vertex", "2", "0.2"):
+        "7042c7b545e3ed90fa2aa03ba41237b0d33dbf108228bb4319ad41c489d2af0e",
+    ("edge", "3", "0.2"):
+        "c80b5855390092e97dddb6d494532a0f2d6792942b5a4a59422284e03005ef53",
+    ("vertex", "3", "0.2"):
+        "e7c7c6f5037d238aa1bb32227ffed7d3908877bc0ed01f2720475e71b987c9d5",
+    ("edge", "3", "0.6"):
+        "e3c969989d7a690ea9fc488f637fce34f626144afd43ef8323b043597354672d",
+    ("vertex", "3", "0.6"):
+        "1c20ba6808655b3323117bc3bd38badc3c2bd9ccc1a876641de57d9121a73845",
+    ("edge", "4", "0.3"):
+        "e379716ed0d808730f0782d9eb4a4a17d86a7ed6db4655c7b33ea9ed2ecd6337",
+    ("vertex", "4", "0.3"):
+        "766011b79017fc4323a01572057c86941259e578d516e51b8a26819300ac1249",
+    ("edge", "120", "0.2"):
+        "481601d76e684c151158cb17c5019a69f89b535ecd3bb8e29214cdbd9b44fdb8",
+    ("vertex", "120", "0.2"):
+        "b9ae0b1362de0ef8715ed82025e22e19cc6644a82a3fd9f40e354d39f084f33c",
+    ("edge", "171", "0.9"):
+        "e68e1946c5444140ca967eca5a57af6c8040e485ab763ae3c9e47f3a1c9bd176",
+    ("vertex", "171", "0.9"):
+        "30af9b4922e6897b696b2877c44bf4c26e11180615418fce068a86d1c8caf513",
+    ("edge", "173", "0.9"):
+        "08e4af73a6982d24b54de6a37dd43725000f9db3efde2d9c8207bff046fc7294",
+    ("vertex", "173", "0.9"):
+        "3996960038ed16396d321da0f7c115fe46813e0a20e747a984ed43e77781e7c7",
+    ("edge", "3", "1.5"):
+        "a83453a23c07c1f8ee0caff0f98660bef08a01eba0919550de42b3d4cf9c3998",
+    ("vertex", "3", "1.5"):
+        "e4ef2b591fe420afefa0b4a144b76b8845f6041d5184985f6de9ee433183121c",
+}
+
+
 class TestProcess:
     def test_edge_trace_lines(self, capsys, tmp_path):
         path = tmp_path / "paw.edges"
@@ -831,6 +882,31 @@ class TestProcess:
         assert got == (0, capsys.readouterr().out, "")
         # one vertex step and its summary; two edge steps and theirs
         assert got[1].count("\n") == {"vertex": 2, "edge": 3}[mode]
+
+    @pytest.mark.parametrize("mode", ["edge", "vertex"])
+    @pytest.mark.parametrize(
+        "s, epsilon",
+        [("2", "0.2"), ("3", "0.2"), ("3", "0.6"), ("4", "0.3"), ("120", "0.2"),
+         ("171", "0.9"), ("173", "0.9"), ("3", "1.5")],
+    )
+    def test_flag_grid_bytes(self, capsys, tmp_path, mode, s, epsilon):
+        # which defaults a run computes, and which check fails first, over
+        # r in {0, 1, 3} and every mix of the three threshold flags: the
+        # sha256 of each run's (argv, exit code, stdout, stderr) in turn
+        path = tmp_path / "paw.edges"
+        path.write_text("1 2\n1 3\n2 3\n3 4\n")
+        digest = hashlib.sha256()
+        for r, *flags in itertools.product(
+            ("0", "1", "3"),
+            ((), ("--coefficient", "2")),
+            ((), ("--exponent", "0.5"), ("--exponent", "-0.5")),
+            ((), ("--budget", "1"), ("--budget", "0")),
+        ):
+            argv = ["process", mode, "--s", s, "--r", r, "--epsilon", epsilon]
+            argv += itertools.chain(*flags)
+            got = run(capsys, *argv[:2], "--input", str(path), *argv[2:])
+            digest.update(repr((argv, *got)).encode())
+        assert digest.hexdigest() == _FLAG_GRID_SHA256[mode, s, epsilon]
 
     def test_stability_report(self, capsys, tmp_path):
         path = tmp_path / "ct.edges"

@@ -192,6 +192,20 @@ class TestEnumeration:
         want = [1, 1, 3, 5, 12, 30, 79, 227, 710, 2322]
         assert [len(level) for level in oracle._connected_upto(10)[1:11]] == want
 
+    def test_graph_counts_are_the_euler_transform_of_a002905(self):
+        # a graph with no isolated vertex is a multiset of connected graphs,
+        # so A000664 is the Euler transform of A002905 (connected, m = 1..13):
+        # n b_n = sum over k of (sum over d | k of d a_d) b_(n-k), b_0 = 1
+        connected = [1, 1, 3, 5, 12, 30, 79, 227, 710, 2322, 8071, 29503, 112822]
+        a = [0, *connected]
+        c = [sum(d * a[d] for d in range(1, k + 1) if k % d == 0) for k in range(len(a))]
+        b = [1]
+        for n in range(1, len(a)):
+            total = sum(c[k] * b[n - k] for k in range(1, n + 1))
+            assert total % n == 0
+            b.append(total // n)
+        assert b[1:] == _EXPECTED_GRAPH_COUNTS
+
     def test_least_deletable_edge_leaves_a_connected_parent(self):
         # two diamonds joined through their degree-2 vertices by a 3-edge
         # path: the middle path edge alone has the least key (2, 2), but it
