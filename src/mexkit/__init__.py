@@ -52,6 +52,7 @@ from .oracle import (
     CapExceededError,
     SearchResult,
     brute_force_ex,
+    brute_force_ex_attainers,
     brute_force_mex,
     brute_force_mex_profile,
     brute_force_min_shadow,

@@ -234,13 +234,12 @@ def _cmd_verify_zykov(args: argparse.Namespace) -> int:
 
     def rows() -> Iterator[tuple[bool, str]]:
         for n in ns:
-            res = oracle.brute_force_ex(n, args.t, forbidden, cap=cap)
+            # each call finishes level n-1 and leaves level n unlabeled
+            optimum, witnesses = oracle.brute_force_ex_attainers(n, args.t, forbidden, cap=cap)
             closed = extremal.zykov_ex(n, args.t, args.r)
-            unique = res.witness_count == 1 and res.witnesses[0] == oracle.canonical_graph(
-                constructions.turan_graph(args.r, n)
-            )
-            yield res.optimum == closed and unique, (
-                f"n={n} brute={res.optimum} closed={closed} witnesses={res.witness_count}"
+            unique = witnesses == (oracle.canonical_graph(constructions.turan_graph(args.r, n)),)
+            yield optimum == closed and unique, (
+                f"n={n} brute={optimum} closed={closed} witnesses={len(witnesses)}"
             )
 
     return _report(rows(), f"zykov r={args.r} t={args.t} n<={args.n_max}")

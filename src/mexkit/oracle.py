@@ -6,15 +6,17 @@ _levels, builds the graph classes level by level into one store keyed by
 automorphisms its own labeling met, keeps a child only when the
 builder's deletion rule would undo the move, relabels only the component
 the move touched, and the level keeps one canonical representative per
-form.  Each builder, _connected_upto by edges and _free_upto by
-vertices, gives only its moves, as vertex masks, and its rule.  _knapsack
-tables the multisets of connected classes that make up the graphs with
-each edge count up to m, and _attainers walks the optimal ones; a query
-that takes only the maximum scores the top level's kept children
-unlabeled, and keeps them as the store's pending level.  Safety
-caps guard every search whose space is super-exponential; they raise
-CapExceededError, and cap=None (CLI: MEXKIT_CAP_OVERRIDE=1) overrides
-them deliberately.
+form.  Each builder, a (key, seed, expand) triple, gives only its moves,
+as vertex masks, and its rule: _EDGE_BUILDER by edges (_connected_upto)
+and _vertex_builder(F) by vertices (_free_upto).  _knapsack tables the
+multisets of connected classes that make up the graphs with each edge
+count up to m, and _attainers walks the optimal ones.  A query that
+takes only the maximum (brute_force_mex_profile) or the maximum and its
+attainers (brute_force_ex_attainers) scores the top level's kept
+children unlabeled, keeps them as the store's pending level, and labels
+at most the attainers.  Safety caps guard every search whose space is
+super-exponential; they raise CapExceededError, and cap=None (CLI:
+MEXKIT_CAP_OVERRIDE=1) overrides them deliberately.
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ __all__ = [
     "DEFAULT_WITNESS_LIMIT",
     "SearchResult",
     "brute_force_ex",
+    "brute_force_ex_attainers",
     "brute_force_mex",
     "brute_force_mex_profile",
     "brute_force_min_shadow",
@@ -333,7 +336,8 @@ class _Levels(list):
 # ("edge", None) holds the connected graphs by edge count, level 0 the
 # one-vertex graph; ("vertex", F's form) the F-free graphs by vertex count,
 # level 0 the empty graph.  The levels are extended in place and pay off
-# when one process asks for them again, as `verify zykov` does for each n
+# when one process asks for them again, as `verify zykov` does for each n,
+# finishing level n-1 from the children the call for n-1 left pending
 _LEVELS: dict[tuple, _Levels] = {}
 
 # component item (size, bits) -> generators of its automorphism group on
@@ -476,7 +480,9 @@ def _top_level(
     children, stored as key's pending level, each as a graph on its own
     labels.  Every class is among them (the completeness half of
     canonical augmentation), but a class may repeat, so they serve a
-    maximum and not a count.
+    maximum, or the attainers once labeled, and not a count.  The edge
+    builder reads it for brute_force_mex_profile, the vertex builder for
+    brute_force_ex_attainers; levels below top are finished first.
     """
     levels = _levels(key, seed, expand, top - 1)
     if len(levels) > top:
@@ -643,19 +649,25 @@ def _clique_order(f: Graph) -> int | None:
     return k if k and f.edge_count == comb(k, 2) else None
 
 
-def _search_result(
-    candidates: list[Graph], s: int, space: int, start: float
-) -> SearchResult:
-    """Most s-cliques over free candidates given in canonical-form order, with attainers."""
+def _most_cliques(graphs: Iterable[Graph], s: int) -> tuple[int, list[Graph]]:
+    """The most s-cliques over graphs (-1 when there are none) and the graphs attaining it, in order."""
     best = -1
     attainers: list[Graph] = []
-    for g in candidates:
+    for g in graphs:
         val = count_cliques(g, s)
         if val > best:
             best = val
             attainers = [g]
         elif val == best:
             attainers.append(g)
+    return best, attainers
+
+
+def _search_result(
+    candidates: list[Graph], s: int, space: int, start: float
+) -> SearchResult:
+    """Most s-cliques over free candidates given in canonical-form order, with attainers."""
+    best, attainers = _most_cliques(candidates, s)
     return SearchResult(
         optimum=max(best, 0),
         witnesses=tuple(attainers[:DEFAULT_WITNESS_LIMIT]),
@@ -766,6 +778,15 @@ def _mex_by_enumeration(m: int, s: int, forbidden: Graph, cap: int | None) -> Se
     return _search_result(free, s, len(graphs), start)
 
 
+def _require_ex(n: int, t: int, cap: int | None) -> None:
+    """Raise what brute_force_ex raises for its arguments, before any search."""
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    if t < 1:
+        raise ValueError("t must be at least 1")
+    _require_cap(n, cap, "vertex count")
+
+
 def brute_force_ex(
     n: int,
     t: int,
@@ -781,29 +802,39 @@ def brute_force_ex(
     forbidden graph), so a call only extends them up to n.
     search_space_size counts the free classes on n vertices.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    if t < 1:
-        raise ValueError("t must be at least 1")
-    _require_cap(n, cap, "vertex count")
+    _require_ex(n, t, cap)
     start = time.perf_counter()
     level = list(_free_upto(n, forbidden)[n].values())
     return _search_result(level, t, len(level), start)
 
 
-def _free_upto(n: int, forbidden: Graph) -> list[dict[tuple, Graph]]:
-    """The forbidden-free graphs on 0..n vertices, one canonical representative each.
+def brute_force_ex_attainers(
+    n: int,
+    t: int,
+    forbidden: Graph,
+    *,
+    cap: int | None = DEFAULT_VERTEX_CAP,
+) -> tuple[int, tuple[Graph, ...]]:
+    """brute_force_ex's optimum and every attainer, with level n left unlabeled.
 
-    Level k grows from level k-1 through _levels.  The moves of a parent
-    h are the neighbourhoods N in 1..k-1 of the fresh vertex k that leave
-    k of least degree: with δ the least degree of h, |N| <= δ+1, and N
-    holds every vertex of degree δ when |N| = δ+1.  The rule keeps the
-    child when it is free.  This is exact for every forbidden graph:
-    deleting a least-degree vertex of a free graph leaves a free class of
-    level k-1 (freeness survives vertex deletion), to which adding that
-    vertex back is one of the moves.  The 0-vertex seed is not tested for
-    freeness; brute_force_ex reads only the levels n >= 1.
+    Reads level n through _top_level: an unfinished level gives its kept
+    children, unlabeled, and stays pending in the store.  Each child
+    scores its t-cliques; only the children tied with the running maximum
+    are kept, and once the maximum is known they alone are labeled
+    (canonical_form, which writes no generators).  Returns the optimum
+    and one canonical representative per attaining class, in
+    canonical-form order.  This is exact: every class is among the kept
+    children, and the count is isomorphism-invariant.  Raises what
+    brute_force_ex raises.
     """
+    _require_ex(n, t, cap)
+    best, tied = _most_cliques(_top_level(*_vertex_builder(forbidden), n), t)
+    forms = sorted({canonical_form(g) for g in tied})
+    return max(best, 0), tuple(_graph_from_items(*form) for form in forms)
+
+
+def _vertex_builder(forbidden: Graph) -> tuple[tuple, dict[tuple, Graph], _Expand]:
+    """The vertex builder's _levels key, level 0 (the empty graph) and expand (_free_upto)."""
     forb_k = _clique_order(forbidden)
 
     def expand(h: Graph) -> tuple[list[int], Callable[[int], tuple[int, ...] | None]]:
@@ -829,8 +860,26 @@ def _free_upto(n: int, forbidden: Graph) -> list[dict[tuple, Graph]]:
 
         return moves, child
 
-    key = ("vertex", canonical_form(forbidden))
-    return _levels(key, {(0, ()): Graph(0, (0,))}, expand, n)
+    return ("vertex", canonical_form(forbidden)), {(0, ()): Graph(0, (0,))}, expand
+
+
+def _free_upto(n: int, forbidden: Graph) -> list[dict[tuple, Graph]]:
+    """The forbidden-free graphs on 0..n vertices, one canonical representative each.
+
+    Level k grows from level k-1 through _levels, with _vertex_builder's
+    moves and rule.  The moves of a parent h are the neighbourhoods N in
+    1..k-1 of the fresh vertex k that leave k of least degree: with δ the
+    least degree of h, |N| <= δ+1, and N holds every vertex of degree δ
+    when |N| = δ+1.  The rule keeps the child when it is free.  This is
+    exact for every forbidden graph: deleting a least-degree vertex of a
+    free graph leaves a free class of level k-1 (freeness survives vertex
+    deletion), to which adding that vertex back is one of the moves.  The
+    0-vertex seed is not tested for freeness; brute_force_ex reads only
+    the levels n >= 1.  A max-only query (brute_force_ex_attainers) reads
+    level n unlabeled through _top_level(*_vertex_builder(forbidden), n);
+    the next call that needs its classes finishes it.
+    """
+    return _levels(*_vertex_builder(forbidden), n)
 
 
 # ---------------------------------------------------------------------------

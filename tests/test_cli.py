@@ -406,6 +406,48 @@ class TestExitCodes:
         assert code == 1 and "FAIL" in out
 
 
+# `verify zykov --r R --t T --n-max 8` stdout by (R, T), recorded before
+# the top level was scored unlabeled
+ZYKOV_PINNED = {
+    (2, 2): (
+        "n=2 brute=1 closed=1 witnesses=1 ok\n"
+        "n=3 brute=2 closed=2 witnesses=1 ok\n"
+        "n=4 brute=4 closed=4 witnesses=1 ok\n"
+        "n=5 brute=6 closed=6 witnesses=1 ok\n"
+        "n=6 brute=9 closed=9 witnesses=1 ok\n"
+        "n=7 brute=12 closed=12 witnesses=1 ok\n"
+        "n=8 brute=16 closed=16 witnesses=1 ok\n"
+        "zykov r=2 t=2 n<=8: ok\n"
+    ),
+    (3, 2): (
+        "n=3 brute=3 closed=3 witnesses=1 ok\n"
+        "n=4 brute=5 closed=5 witnesses=1 ok\n"
+        "n=5 brute=8 closed=8 witnesses=1 ok\n"
+        "n=6 brute=12 closed=12 witnesses=1 ok\n"
+        "n=7 brute=16 closed=16 witnesses=1 ok\n"
+        "n=8 brute=21 closed=21 witnesses=1 ok\n"
+        "zykov r=3 t=2 n<=8: ok\n"
+    ),
+    (3, 3): (
+        "n=3 brute=1 closed=1 witnesses=1 ok\n"
+        "n=4 brute=2 closed=2 witnesses=1 ok\n"
+        "n=5 brute=4 closed=4 witnesses=1 ok\n"
+        "n=6 brute=8 closed=8 witnesses=1 ok\n"
+        "n=7 brute=12 closed=12 witnesses=1 ok\n"
+        "n=8 brute=18 closed=18 witnesses=1 ok\n"
+        "zykov r=3 t=3 n<=8: ok\n"
+    ),
+    (4, 3): (
+        "n=4 brute=4 closed=4 witnesses=1 ok\n"
+        "n=5 brute=7 closed=7 witnesses=1 ok\n"
+        "n=6 brute=12 closed=12 witnesses=1 ok\n"
+        "n=7 brute=20 closed=20 witnesses=1 ok\n"
+        "n=8 brute=32 closed=32 witnesses=1 ok\n"
+        "zykov r=4 t=3 n<=8: ok\n"
+    ),
+}
+
+
 class TestVerifySubcommands:
     def test_frohmader_small(self, capsys):
         code, out, _ = run(capsys, "verify", "frohmader", "--r", "3", "--s", "3", "--m-max", "4")
@@ -527,6 +569,29 @@ class TestVerifySubcommands:
     def test_zykov_small(self, capsys):
         code, out, _ = run(capsys, "verify", "zykov", "--r", "3", "--t", "3", "--n-max", "5")
         assert code == 0
+
+    @pytest.mark.parametrize("r, t", sorted(ZYKOV_PINNED))
+    def test_zykov_pinned_stdout(self, capsys, r, t):
+        argv = ("--r", str(r), "--t", str(t), "--n-max", "8")
+        assert run(capsys, "verify", "zykov", *argv) == (0, ZYKOV_PINNED[r, t], "")
+
+    def test_zykov_labels_no_child_of_the_top_level(self, capsys, monkeypatch):
+        # levels below n-max are labeled from the children each call left
+        # pending; the kept children of level n-max reach no _label
+        sizes = set()
+        label = oracle._label
+
+        def counted(children):
+            children = list(children)
+            sizes.update(len(adj) - 1 for adj, _, _ in children)
+            return label(children)
+
+        monkeypatch.setattr(oracle, "_label", counted)
+        monkeypatch.setattr(oracle, "_LEVELS", {})
+        monkeypatch.setattr(oracle, "_AUTOMORPHISMS", {})
+        code, out, _ = run(capsys, "verify", "zykov", "--r", "3", "--t", "3", "--n-max", "7")
+        assert (code, out.count(" ok\n")) == (0, 6)
+        assert sizes == set(range(1, 7))
 
     def test_shadows(self, capsys):
         code, _, _ = run(

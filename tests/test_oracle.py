@@ -24,6 +24,7 @@ from mexkit.oracle import (
     DEFAULT_WITNESS_LIMIT,
     CapExceededError,
     brute_force_ex,
+    brute_force_ex_attainers,
     brute_force_mex,
     brute_force_mex_profile,
     brute_force_min_shadow,
@@ -493,16 +494,33 @@ class TestLevelDigests:
 
         assert _level_digest(build) == self.CONNECTED
 
-    @pytest.mark.parametrize(
-        "k, digest",
-        [
-            (3, "adc57a81286dcd6dd5d6bd7f55f9213a417943ba6f3b01923f607ee7a3872b73"),
-            (4, "a57c41f77d05b5bab8339a9c5cd5de399f52f564805d08a7abca6de9073387fa"),
-            (5, "b9bb8c701dfc13ca8b0191bcc61e5a58d63c7c01d238f9186511073344a384b5"),
-        ],
-    )
+    # the K_k-free levels to n = 7, by k
+    FREE = [
+        (3, "adc57a81286dcd6dd5d6bd7f55f9213a417943ba6f3b01923f607ee7a3872b73"),
+        (4, "a57c41f77d05b5bab8339a9c5cd5de399f52f564805d08a7abca6de9073387fa"),
+        (5, "b9bb8c701dfc13ca8b0191bcc61e5a58d63c7c01d238f9186511073344a384b5"),
+    ]
+
+    @pytest.mark.parametrize("k, digest", FREE)
     def test_free_levels(self, k, digest):
         assert _level_digest(lambda: oracle._free_upto(7, complete_graph(k))) == digest
+
+    @pytest.mark.parametrize("k, digest", FREE)
+    def test_attainers_leave_a_pending_level_that_finishes_as_a_cold_build(self, k, digest):
+        # brute_force_ex_attainers labels levels 1..6 and leaves level 7 as
+        # kept children, with no generators of theirs; _free_upto finishes
+        # it into the digest test_free_levels records
+        forbidden = complete_graph(k)
+        key = ("vertex", canonical_form(forbidden))
+
+        def build():
+            brute_force_ex_attainers(7, 3, forbidden)
+            levels = oracle._LEVELS[key]
+            assert len(levels) == 7 and levels.pending
+            assert all(size < 7 for size, _ in oracle._AUTOMORPHISMS)
+            return oracle._free_upto(7, forbidden)
+
+        assert _level_digest(build) == digest
 
 
 def test_component_bits_digest():
@@ -773,6 +791,69 @@ class TestBruteForceEx:
         assert res.optimum == 4
         paw = graph_from_edges([(1, 2), (1, 3), (2, 3), (3, 4)])
         assert res.witnesses[0] == canonical_graph(paw)
+
+
+class TestBruteForceExAttainers:
+    FORBIDDEN = [complete_graph(3), complete_graph(4), complete_graph(5), C4, K13]
+    CALLS = [(n, t, f) for f in range(len(FORBIDDEN)) for n in range(1, 8) for t in range(1, 5)]
+
+    @pytest.fixture(scope="class")
+    def want(self):
+        # brute_force_ex's optimum and full witness list per call
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(oracle, "DEFAULT_WITNESS_LIMIT", 10**6)
+            mp.setattr(oracle, "_LEVELS", {})
+            mp.setattr(oracle, "_AUTOMORPHISMS", {})
+            got = {}
+            for n, t, f in self.CALLS:
+                res = brute_force_ex(n, t, self.FORBIDDEN[f])
+                assert res.witness_count == len(res.witnesses)
+                got[n, t, f] = (res.optimum, res.witnesses)
+            return got
+
+    def test_cold_matches_brute_force_ex(self, want, monkeypatch):
+        for n, t, f in self.CALLS:
+            monkeypatch.setattr(oracle, "_LEVELS", {})
+            monkeypatch.setattr(oracle, "_AUTOMORPHISMS", {})
+            assert brute_force_ex_attainers(n, t, self.FORBIDDEN[f]) == want[n, t, f], (n, t, f)
+
+    @pytest.mark.parametrize("order", ["descending", "shuffled", "interleaved"])
+    def test_warm_matches_brute_force_ex(self, want, order, monkeypatch):
+        # one store for every call: a level may be finished, pending or
+        # absent when a call reads it, and brute_force_ex calls in between
+        # finish pending levels
+        calls = list(self.CALLS)
+        if order == "descending":
+            calls.sort(key=lambda call: -call[0])
+        else:
+            random.Random(34).shuffle(calls)
+        monkeypatch.setattr(oracle, "_LEVELS", {})
+        monkeypatch.setattr(oracle, "_AUTOMORPHISMS", {})
+        for i, (n, t, f) in enumerate(calls):
+            forbidden = self.FORBIDDEN[f]
+            if order == "interleaved" and i % 3 == 0:
+                brute_force_ex(n, t, forbidden)
+            assert brute_force_ex_attainers(n, t, forbidden) == want[n, t, f], (n, t, f)
+
+    def test_nothing_is_free_of_k1(self):
+        assert brute_force_ex_attainers(3, 1, complete_graph(1)) == (0, ())
+
+    def test_errors_match_brute_force_ex(self):
+        def outcome(search, *args, **kwargs):
+            try:
+                search(*args, **kwargs)
+            except (ValueError, CapExceededError) as exc:
+                return type(exc), str(exc)
+            return None
+
+        forbidden = complete_graph(4)
+        cases = [(0, 3, 8), (3, 0, 8), (0, 0, 8), (9, 3, 8), (9, 0, 8), (6, 3, 5), (0, 3, None)]
+        for n, t, cap in cases:
+            want = outcome(brute_force_ex, n, t, forbidden, cap=cap)
+            assert want is not None
+            assert outcome(brute_force_ex_attainers, n, t, forbidden, cap=cap) == want, (n, t, cap)
+        with pytest.raises(CapExceededError):
+            brute_force_ex_attainers(9, 3, forbidden)
 
 
 def _first_colorable_shadow(walk, sets, k, r, n, rejected):
