@@ -212,6 +212,7 @@ class TestExitCodes:
 
         monkeypatch.setattr(cli.oracle, "brute_force_mex_profile", no_search)
         monkeypatch.setattr(cli.oracle, "brute_force_ex", no_search)
+        monkeypatch.setattr(cli.oracle, "brute_force_ex_attainers", no_search)
         code, out, err = run(capsys, *argv)
         assert (code, out) == (3, "")
         assert "exceeds the safety cap" in err
@@ -232,6 +233,7 @@ class TestExitCodes:
 
         monkeypatch.setattr(cli.oracle, "brute_force_mex_profile", no_search)
         monkeypatch.setattr(cli.oracle, "brute_force_ex", no_search)
+        monkeypatch.setattr(cli.oracle, "brute_force_ex_attainers", no_search)
         code, out, err = run(capsys, "verify", *argv)
         assert (code, out) == (2, "")
         assert message in err
